@@ -195,8 +195,7 @@ EpisodeResult RunEpisode(const WorkloadSpec& spec, const Inputs& in, bool split,
 
       // A closed loop drains, then composes one frame, for each user in
       // turn. An open loop composes every user's frame at its due time and
-      // drains right after the first, while the executor workers that frame
-      // woke are still running.
+      // drains right after the first.
       if (!spec.open_loop) ingest();
       const std::size_t first_user = spec.open_loop ? 0 : t % in.users.size();
       const std::size_t last_user = spec.open_loop ? in.users.size() : first_user + 1;

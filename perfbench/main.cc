@@ -90,7 +90,15 @@ std::string CpuModel() {
   return "unknown";
 }
 
+// The process's own RSS high-water mark. getrusage's ru_maxrss is not used:
+// Linux carries it across exec, so under run.py it would report the size of
+// the forked Python process whenever that is the larger.
 double PeakRssMb() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;  // in kB
+  }
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB

@@ -4,8 +4,9 @@
 // layers are not reachable through Platform itself.
 //
 // This mirrors Platform's behaviour for the configurations the workloads
-// use (QoS off, no frame budget, no tracer, the per-record poll path); the
-// episode digest check proves it stays equal to the Platform run's.
+// use (QoS off, no frame budget, no tracer, the per-record poll path, one
+// worker); the episode digest check proves it stays equal to the Platform
+// run's.
 #include <algorithm>
 #include <map>
 #include <stdexcept>
@@ -14,7 +15,6 @@
 #include "ar/occlusion.h"
 #include "bench.h"
 #include "cluster/cluster.h"
-#include "exec/executor.h"
 #include "stream/consumer.h"
 
 namespace perfbench {
@@ -28,10 +28,10 @@ class SplitSystem final : public System {
  public:
   SplitSystem(const WorkloadSpec& spec, const Inputs& in)
       : city_(MakeCity()),
-        exec_(arbd::exec::ExecConfig{spec.workers, 0}),
         broker_(clock_),
         interpreter_([this](const std::string& key) { return Resolve(key); }),
         classifier_(&city_) {
+    if (spec.workers != 1) throw std::runtime_error("split: only the 1-worker path is mirrored");
     if (spec.brokers > 1) {
       arbd::cluster::ClusterConfig cc;
       cc.brokers = spec.brokers;
@@ -136,19 +136,10 @@ class SplitSystem final : public System {
     const auto [in0, out0] = PipelineTotals();
     {
       Scope span(log_, kStreamDataflow, parent_);
-      if (exec_.workers() > 1) {
-        std::uint64_t shard_base = 1;
-        for (auto& job : jobs_) {
-          job.pipeline->ProcessBatchParallel(exec_, events, shard_base);
-          shard_base += job.pipeline->stage_count() + 1;
-        }
-        exec_.Drain();
-      } else {
-        for (const auto& event : events) {
-          for (auto& job : jobs_) (void)job.pipeline->Offer(event);
-        }
-        for (auto& job : jobs_) job.pipeline->DrainPending(fetched);
+      for (const auto& event : events) {
+        for (auto& job : jobs_) (void)job.pipeline->Offer(event);
       }
+      for (auto& job : jobs_) job.pipeline->DrainPending(fetched);
     }
     const auto [in1, out1] = PipelineTotals();
     std::uint64_t emitted = 0;
@@ -195,18 +186,7 @@ class SplitSystem final : public System {
     {
       Scope span(log_, kArClassify, parent_);
       const arbd::ar::CameraView view = users_.at(user)->View();
-      const std::size_t workers = exec_.workers();
-      if (workers > 1 && live.size() >= workers * 2) {
-        classified.resize(live.size());
-        const std::size_t per = (live.size() + workers - 1) / workers;
-        exec_.ParallelFor(workers, [&](std::size_t c) {
-          const std::size_t lo = c * per;
-          const std::size_t hi = std::min(live.size(), lo + per);
-          for (std::size_t i = lo; i < hi; ++i) classified[i] = classifier_.Classify(*live[i], view);
-        });
-      } else {
-        classified = classifier_.ClassifyAll(live, view);
-      }
+      classified = classifier_.ClassifyAll(live, view);
       for (const auto& c : classified) {
         if (c.visibility != arbd::ar::Visibility::kOutOfView) ++frame.in_view;
         if (c.visibility == arbd::ar::Visibility::kOccluded) ++frame.occluded;
@@ -227,7 +207,7 @@ class SplitSystem final : public System {
   arbd::core::ContextEngine& User(std::size_t user) override { return *users_.at(user); }
   arbd::stream::Broker& broker() override { return broker_; }
   arbd::SimClock& clock() override { return clock_; }
-  std::uint64_t tasks_run() override { return exec_.tasks_run(); }
+  std::uint64_t tasks_run() override { return 0; }  // no executor
 
   void AddEndState(Digest& d) override {
     std::vector<const arbd::stream::Pipeline*> pipelines;
@@ -271,7 +251,6 @@ class SplitSystem final : public System {
 
   const arbd::geo::CityModel city_;
   arbd::SimClock clock_;
-  arbd::exec::Executor exec_;
   arbd::stream::Broker broker_;
   std::unique_ptr<arbd::cluster::BrokerCluster> cluster_;
   arbd::stream::Topic* topic_ = nullptr;

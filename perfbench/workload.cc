@@ -132,8 +132,10 @@ bool MakeSpec(const std::string& name, WorkloadSpec& out) {
     s.target_layers = {kCorePublish, kCoreProcessPending};
   } else if (name == "frames") {
     // AR read path: 30 fps open loop per user over ~10k live annotations,
-    // with an event trickle far below the ingest rate.
-    s.workers = 4;
+    // with an event trickle far below the ingest rate. One worker: at four,
+    // every ParallelFor waits on thread wake-ups, and on a shared VM those
+    // follow the host's scheduling more than the program (README.md).
+    s.workers = 1;
     s.open_loop = true;
     s.users = 5;
     s.ticks = 40;
