@@ -1,8 +1,6 @@
 #include "core/platform.h"
 #include <algorithm>
 
-#include "stream/batch.h"
-
 namespace arbd::core {
 
 namespace {
@@ -190,73 +188,46 @@ std::size_t Platform::ProcessPending(std::size_t max_records) {
     max_records = std::min(max_records, job.pipeline->input_credit());
   }
   const bool traced = tracer_->enabled();
-  const bool batched = stream::BatchingEnabled();
-  std::vector<stream::Event> events;
+  // With a frame budget configured the poll is deadline-bounded: it stops
+  // visiting partitions once the budget is spent, and the leftovers are
+  // simply picked up next frame (at-least-once, same as a short poll).
+  Deadline budget = Deadline::WithBudget(cfg_.frame_budget);
+  Deadline* deadline = cfg_.frame_budget > Duration::Zero() ? &budget : nullptr;
+  const auto batches = consumer_->PollBatches(max_records, deadline);
+  // The poll interleaves partitions in fetch order, not event-time order;
+  // sorting by event time keeps the watermark honest so one fast partition
+  // cannot mark the others' events late. The sort moves row references
+  // keyed on the event-time column, never the rows, and is stable so that
+  // equal-timestamp rows keep their poll order.
+  struct RowRef {
+    const stream::RecordBatch* batch;
+    std::size_t row;
+  };
   std::size_t fetched = 0;
-  if (batched) {
-    // Columnar hot path: keep the fetched rows in their batches and sort
-    // row *references* on the contiguous event-time column, decoding each
-    // payload zero-copy out of the batch buffer. PollBatches walks the
-    // same partition rotation as Poll, so the flattened row sequence —
-    // and after the stable sort, the event sequence — is identical to the
-    // per-record path's.
-    auto batches = consumer_->PollBatches(max_records);
-    struct RowRef {
-      const stream::RecordBatch* batch;
-      std::size_t row;
-    };
-    std::vector<RowRef> rows;
-    for (const auto& b : batches) fetched += b.size();
-    rows.reserve(fetched);
-    for (const auto& b : batches) {
-      for (std::size_t i = 0; i < b.size(); ++i) rows.push_back(RowRef{&b, i});
+  for (const auto& b : batches) fetched += b.size();
+  std::vector<RowRef> rows;
+  rows.reserve(fetched);
+  for (const auto& b : batches) {
+    for (std::size_t i = 0; i < b.size(); ++i) rows.push_back(RowRef{&b, i});
+  }
+  std::stable_sort(rows.begin(), rows.end(), [](const RowRef& a, const RowRef& b) {
+    return a.batch->event_time(a.row) < b.batch->event_time(b.row);
+  });
+  std::vector<stream::Event> events;
+  events.reserve(rows.size());
+  for (const auto& rr : rows) {
+    // Zero-copy decode straight out of the batch's payload column.
+    auto event = stream::Event::Decode(rr.batch->payload_data(rr.row),
+                                       rr.batch->payload_size(rr.row));
+    if (!event.ok()) continue;  // corrupt payloads are dropped, not fatal
+    if (traced && rr.batch->trace_ctx(rr.row).valid()) {
+      // Hand the record's causal context to the decoded event, spending
+      // one ingest span for the fetch+decode hop.
+      event->trace_ctx = tracer_->Record(
+          "platform.ingest", rr.batch->trace_ctx(rr.row), kIngestCost, {},
+          Fnv1a(event->key) ^ static_cast<std::uint64_t>(event->event_time.nanos()));
     }
-    std::stable_sort(rows.begin(), rows.end(), [](const RowRef& a, const RowRef& b) {
-      return a.batch->event_time(a.row) < b.batch->event_time(b.row);
-    });
-    events.reserve(rows.size());
-    for (const auto& rr : rows) {
-      auto event = stream::Event::Decode(rr.batch->payload_data(rr.row),
-                                         rr.batch->payload_size(rr.row));
-      if (!event.ok()) continue;  // corrupt payloads are dropped, not fatal
-      if (traced && rr.batch->trace_ctx(rr.row).valid()) {
-        event->trace_ctx = tracer_->Record(
-            "platform.ingest", rr.batch->trace_ctx(rr.row), kIngestCost, {},
-            Fnv1a(event->key) ^ static_cast<std::uint64_t>(event->event_time.nanos()));
-      }
-      events.push_back(std::move(*event));
-    }
-  } else {
-    // With a frame budget configured the poll is deadline-bounded: it
-    // stops visiting partitions once the budget is spent, and the
-    // leftovers are simply picked up next frame (at-least-once, same as a
-    // short poll).
-    Deadline budget = Deadline::WithBudget(cfg_.frame_budget);
-    Deadline* deadline = cfg_.frame_budget > Duration::Zero() ? &budget : nullptr;
-    auto records = consumer_->Poll(max_records, deadline);
-    fetched = records.size();
-    // The poll interleaves partitions in fetch order, not event-time order;
-    // sorting each batch by event time keeps the watermark honest so one
-    // fast partition cannot mark the others' events late. Stable so that
-    // equal-timestamp rows keep their poll order — the batched path sorts
-    // the same sequence and must land on the same permutation.
-    std::stable_sort(records.begin(), records.end(),
-                     [](const stream::StoredRecord& a, const stream::StoredRecord& b) {
-                       return a.record.event_time < b.record.event_time;
-                     });
-    events.reserve(records.size());
-    for (const auto& sr : records) {
-      auto event = stream::Event::Decode(sr.record.payload);
-      if (!event.ok()) continue;  // corrupt payloads are dropped, not fatal
-      if (traced && sr.record.trace_ctx.valid()) {
-        // Hand the record's causal context to the decoded event, spending
-        // one ingest span for the fetch+decode hop.
-        event->trace_ctx = tracer_->Record(
-            "platform.ingest", sr.record.trace_ctx, kIngestCost, {},
-            Fnv1a(event->key) ^ static_cast<std::uint64_t>(event->event_time.nanos()));
-      }
-      events.push_back(std::move(*event));
-    }
+    events.push_back(std::move(*event));
   }
   if (exec_->workers() > 1) {
     // Each job's stage chain occupies its own shard range, so the jobs
@@ -267,19 +238,6 @@ std::size_t Platform::ProcessPending(std::size_t max_records) {
       shard_base += job.pipeline->stage_count() + 1;
     }
     exec_->Drain();
-  } else if (batched) {
-    for (auto& job : jobs_) {
-      if (job.pipeline->pending() == 0) {
-        // Inline batch execution — same item sequence as the parallel
-        // form, bit-identical to pushing each event in order.
-        job.pipeline->PushBatch(events);
-      } else {
-        // Events are already queued (direct Push while budgeted): go
-        // through the inbox so this batch cannot jump the FIFO line.
-        for (const auto& event : events) (void)job.pipeline->Offer(event);
-        job.pipeline->DrainPending(fetched);
-      }
-    }
   } else {
     for (const auto& event : events) {
       for (auto& job : jobs_) {

@@ -1,73 +1,15 @@
 #include "stream/batch.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace arbd::stream {
-
-namespace {
-
-// -1 = uncached, else 0/1. Cached so the flag costs one relaxed load on
-// the hot path, same discipline as ExecConfig/TracerConfig env reads.
-std::atomic<int> g_batching{-1};
-
-bool ReadBatchEnv() {
-  const char* v = std::getenv("ARBD_BATCH");
-  if (v == nullptr) return false;
-  return !(v[0] == '\0' || (v[0] == '0' && v[1] == '\0'));
-}
-
-}  // namespace
-
-bool BatchingEnabled() {
-  int cached = g_batching.load(std::memory_order_relaxed);
-  if (cached < 0) {
-    cached = ReadBatchEnv() ? 1 : 0;
-    g_batching.store(cached, std::memory_order_relaxed);
-  }
-  return cached == 1;
-}
-
-void SetBatchingEnabled(bool on) {
-  g_batching.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void RecordBatch::Reserve(std::size_t rows, std::size_t key_bytes,
-                          std::size_t payload_bytes) {
-  event_ns_.reserve(event_ns_.size() + rows);
-  ingest_ns_.reserve(ingest_ns_.size() + rows);
-  checksums_.reserve(checksums_.size() + rows);
-  key_offsets_.reserve(key_offsets_.size() + rows);
-  payload_offsets_.reserve(payload_offsets_.size() + rows);
-  keys_.reserve(keys_.size() + key_bytes);
-  payloads_.reserve(payloads_.size() + payload_bytes);
-  trace_.reserve(trace_.size() + rows);
-}
-
-void RecordBatch::Clear() {
-  event_ns_.clear();
-  ingest_ns_.clear();
-  checksums_.clear();
-  key_offsets_.assign(1, 0);
-  payload_offsets_.assign(1, 0);
-  keys_.clear();
-  payloads_.clear();
-  trace_.clear();
-  has_traced_rows_ = false;
-  base_offset_ = 0;
-  partition_ = 0;
-}
-
-void RecordBatch::Append(const Record& r) {
-  AppendRow(r.key, r.payload.data(), r.payload.size(), r.event_time,
-            r.ingest_time, r.checksum, r.trace_ctx);
-}
 
 void RecordBatch::AppendRow(std::string_view key, const std::uint8_t* payload,
                             std::size_t payload_size, TimePoint event_time,
                             TimePoint ingest_time, std::uint64_t checksum,
                             const trace::SpanContext& ctx) {
+  if (key_offsets_.empty()) {
+    key_offsets_.push_back(0);
+    payload_offsets_.push_back(0);
+  }
   event_ns_.push_back(event_time.nanos());
   ingest_ns_.push_back(ingest_time.nanos());
   checksums_.push_back(checksum);
@@ -75,12 +17,23 @@ void RecordBatch::AppendRow(std::string_view key, const std::uint8_t* payload,
   key_offsets_.push_back(static_cast<std::uint32_t>(keys_.size()));
   if (payload_size > 0) payloads_.insert(payloads_.end(), payload, payload + payload_size);
   payload_offsets_.push_back(static_cast<std::uint32_t>(payloads_.size()));
-  trace_.push_back(ctx);
-  if (ctx.valid()) has_traced_rows_ = true;
+  if (ctx.valid() || !trace_.empty()) {
+    trace_.resize(size() - 1);
+    trace_.push_back(ctx);
+  }
 }
 
 void RecordBatch::AppendRange(const RecordBatch& src, std::size_t from, std::size_t n) {
   if (n == 0) return;
+  if (key_offsets_.empty()) {
+    key_offsets_.reserve(n + 1);
+    payload_offsets_.reserve(n + 1);
+    key_offsets_.push_back(0);
+    payload_offsets_.push_back(0);
+  } else {
+    key_offsets_.reserve(key_offsets_.size() + n);
+    payload_offsets_.reserve(payload_offsets_.size() + n);
+  }
   event_ns_.insert(event_ns_.end(), src.event_ns_.begin() + static_cast<std::ptrdiff_t>(from),
                    src.event_ns_.begin() + static_cast<std::ptrdiff_t>(from + n));
   ingest_ns_.insert(ingest_ns_.end(), src.ingest_ns_.begin() + static_cast<std::ptrdiff_t>(from),
@@ -99,40 +52,18 @@ void RecordBatch::AppendRange(const RecordBatch& src, std::size_t from, std::siz
   const std::uint32_t pay_base = static_cast<std::uint32_t>(payloads_.size());
   payloads_.insert(payloads_.end(), src.payloads_.begin() + src_pay_lo,
                    src.payloads_.begin() + src_pay_hi);
-  key_offsets_.reserve(key_offsets_.size() + n);
-  payload_offsets_.reserve(payload_offsets_.size() + n);
   for (std::size_t i = 1; i <= n; ++i) {
     key_offsets_.push_back(key_base + (src.key_offsets_[from + i] - src_key_lo));
     payload_offsets_.push_back(pay_base + (src.payload_offsets_[from + i] - src_pay_lo));
   }
 
-  trace_.insert(trace_.end(), src.trace_.begin() + static_cast<std::ptrdiff_t>(from),
-                src.trace_.begin() + static_cast<std::ptrdiff_t>(from + n));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (src.trace_[from + i].valid()) { has_traced_rows_ = true; break; }
+  if (!src.trace_.empty()) {
+    trace_.resize(size() - n);
+    trace_.insert(trace_.end(), src.trace_.begin() + static_cast<std::ptrdiff_t>(from),
+                  src.trace_.begin() + static_cast<std::ptrdiff_t>(from + n));
+  } else if (!trace_.empty()) {
+    trace_.resize(size());
   }
-}
-
-void RecordBatch::StampIngest(std::size_t first_row, TimePoint ingest) {
-  const std::int64_t ns = ingest.nanos();
-  for (std::size_t i = first_row; i < ingest_ns_.size(); ++i) ingest_ns_[i] = ns;
-}
-
-RecordView RecordBatch::row(std::size_t i) const {
-  RecordView v;
-  v.key = key(i);
-  v.payload = payload_data(i);
-  v.payload_size = payload_size(i);
-  v.event_time = event_time(i);
-  v.ingest_time = ingest_time(i);
-  v.checksum = checksums_[i];
-  v.offset = base_offset_ + static_cast<Offset>(i);
-  return v;
-}
-
-void RecordBatch::set_trace_ctx(std::size_t i, const trace::SpanContext& ctx) {
-  trace_[i] = ctx;
-  if (ctx.valid()) has_traced_rows_ = true;
 }
 
 Record RecordBatch::MaterializeRecord(std::size_t i) const {
@@ -142,7 +73,7 @@ Record RecordBatch::MaterializeRecord(std::size_t i) const {
   r.event_time = event_time(i);
   r.ingest_time = ingest_time(i);
   r.checksum = checksums_[i];
-  r.trace_ctx = trace_[i];
+  r.trace_ctx = trace_ctx(i);
   return r;
 }
 
@@ -154,111 +85,11 @@ StoredRecord RecordBatch::MaterializeStored(std::size_t i) const {
   return s;
 }
 
-namespace {
-constexpr std::uint32_t kBatchMagic = 0x42425241;  // "ARBB" little-endian
-constexpr std::uint8_t kBatchVersion = 1;
-}  // namespace
-
-Bytes RecordBatch::Serialize() const {
-  // Body first: every column, fixed-width then offsets then flat bytes.
-  // One FNV-1a over the whole body replaces per-record checksum checks on
-  // the wire (per-row payload checksums still ride in their column).
-  BinaryWriter body;
-  const std::uint32_t n = static_cast<std::uint32_t>(size());
-  body.WriteI64(base_offset_);
-  body.WriteU32(partition_);
-  for (std::size_t i = 0; i < n; ++i) body.WriteI64(event_ns_[i]);
-  for (std::size_t i = 0; i < n; ++i) body.WriteI64(ingest_ns_[i]);
-  for (std::size_t i = 0; i < n; ++i) body.WriteU64(checksums_[i]);
-  for (std::size_t i = 1; i <= n; ++i) body.WriteU32(key_offsets_[i]);
-  for (std::size_t i = 1; i <= n; ++i) body.WriteU32(payload_offsets_[i]);
-  body.WriteString(keys_);
-  body.WriteBytes(payloads_);
-
-  BinaryWriter w;
-  w.WriteU32(kBatchMagic);
-  w.WriteU8(kBatchVersion);
-  w.WriteU32(n);
-  w.WriteU64(Fnv1a(body.bytes()));
-  w.WriteBytes(body.bytes());
-  return w.Take();
-}
-
-Expected<RecordBatch> RecordBatch::Deserialize(const Bytes& buf) {
-  BinaryReader r(buf);
-  auto magic = r.ReadU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kBatchMagic) return Status::DataLoss("record batch: bad magic");
-  auto version = r.ReadU8();
-  if (!version.ok()) return version.status();
-  if (*version != kBatchVersion) return Status::DataLoss("record batch: unknown version");
-  auto rows = r.ReadU32();
-  if (!rows.ok()) return rows.status();
-  auto body_sum = r.ReadU64();
-  if (!body_sum.ok()) return body_sum.status();
-  auto body = r.ReadBytes();
-  if (!body.ok()) return body.status();
-  if (!r.AtEnd()) return Status::DataLoss("record batch: trailing bytes");
-  if (Fnv1a(*body) != *body_sum) return Status::DataLoss("record batch: checksum mismatch");
-
-  const std::size_t n = *rows;
-  RecordBatch b;
-  BinaryReader br(*body);
-  auto base = br.ReadI64();
-  if (!base.ok()) return base.status();
-  b.base_offset_ = *base;
-  auto part = br.ReadU32();
-  if (!part.ok()) return part.status();
-  b.partition_ = *part;
-
-  b.event_ns_.reserve(n);
-  b.ingest_ns_.reserve(n);
-  b.checksums_.reserve(n);
-  b.key_offsets_.reserve(n + 1);
-  b.payload_offsets_.reserve(n + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto v = br.ReadI64();
-    if (!v.ok()) return v.status();
-    b.event_ns_.push_back(*v);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    auto v = br.ReadI64();
-    if (!v.ok()) return v.status();
-    b.ingest_ns_.push_back(*v);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    auto v = br.ReadU64();
-    if (!v.ok()) return v.status();
-    b.checksums_.push_back(*v);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    auto v = br.ReadU32();
-    if (!v.ok()) return v.status();
-    // Prefix offsets must be monotone: a decreasing offset would make
-    // row slices alias backwards into other rows' bytes.
-    if (*v < b.key_offsets_.back()) return Status::DataLoss("record batch: key offsets not monotone");
-    b.key_offsets_.push_back(*v);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    auto v = br.ReadU32();
-    if (!v.ok()) return v.status();
-    if (*v < b.payload_offsets_.back())
-      return Status::DataLoss("record batch: payload offsets not monotone");
-    b.payload_offsets_.push_back(*v);
-  }
-  auto keys = br.ReadString();
-  if (!keys.ok()) return keys.status();
-  b.keys_ = std::move(*keys);
-  auto payloads = br.ReadBytes();
-  if (!payloads.ok()) return payloads.status();
-  b.payloads_ = std::move(*payloads);
-  if (!br.AtEnd()) return Status::DataLoss("record batch: trailing body bytes");
-  if (b.key_offsets_.back() != b.keys_.size())
-    return Status::DataLoss("record batch: key buffer size mismatch");
-  if (b.payload_offsets_.back() != b.payloads_.size())
-    return Status::DataLoss("record batch: payload buffer size mismatch");
-  b.trace_.assign(n, trace::SpanContext{});
-  return b;
+std::vector<StoredRecord> RecordBatch::Materialize() const {
+  std::vector<StoredRecord> out;
+  out.reserve(size());
+  for (std::size_t i = 0; i < size(); ++i) out.push_back(MaterializeStored(i));
+  return out;
 }
 
 }  // namespace arbd::stream

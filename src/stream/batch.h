@@ -1,26 +1,19 @@
-// Columnar record batches — the Arrow-style unit of the broker hot path.
+// Columnar record batches — the partition store and the fetch/poll unit.
 //
 // A RecordBatch stores N records as contiguous columns instead of N
 // row-structs: event/ingest timestamps and checksums in flat int arrays,
 // keys and payloads as two flat byte buffers addressed by prefix-offset
-// arrays (Arrow's variable-width layout). Rows are read through
-// RecordView — string_view / pointer+length slices into the columns, no
-// per-row allocation — and only materialized into Record structs at the
-// legacy per-record boundaries.
+// arrays (Arrow's variable-width layout). Rows are read through the
+// per-column accessors — string_view / pointer+length slices into the
+// columns, no per-row allocation — and only materialized into Record
+// structs where a caller asks for rows (Partition::Fetch, Consumer::Poll,
+// query results).
 //
-// The batch is both the transfer unit (produce, replication, fetch,
-// pipeline hand-off) and the Partition's backing store, so a batched
-// fetch is a handful of contiguous column-range copies under the
-// partition lock rather than N string/vector constructions, and views
-// returned by a batch are zero-copy into those buffers.
-//
-// Gating: the batch hot path is enabled by ARBD_BATCH (BatchingEnabled
-// below). With the flag off every caller keeps the per-record code path
-// byte-for-byte; with it on, the differential harness
-// (batch_determinism_test, bench_batch E23) proves all scenario digests
-// are bit-identical to the per-record path — batching is a pure
-// optimization, never a semantic change. See docs/batching.md for the
-// wire layout and the zero-copy invariants.
+// The batch is both the Partition's backing store and what a fetch
+// returns, so a fetch is a handful of contiguous column-range copies
+// under the partition lock rather than N string/vector constructions,
+// and slices returned by a fetched batch are zero-copy into its buffers.
+// See docs/storage.md for the layout and the zero-copy invariants.
 #pragma once
 
 #include <cstdint>
@@ -30,61 +23,30 @@
 
 #include "common/clock.h"
 #include "common/serialize.h"
-#include "common/status.h"
 #include "stream/record.h"
 #include "trace/tracer.h"
 
 namespace arbd::stream {
 
-// ARBD_BATCH: route produce/fetch/pipeline work through the columnar
-// batch path. Unset/"0" -> off (the per-record path, byte-identical to
-// the pre-batch system). The value is cached on first read.
-bool BatchingEnabled();
-// Test/bench override (the differential harness flips modes in-process).
-void SetBatchingEnabled(bool on);
-
-// Zero-copy view of one row. Valid only while the owning RecordBatch is
-// alive and un-mutated — treat it like an iterator.
-struct RecordView {
-  std::string_view key;
-  const std::uint8_t* payload = nullptr;
-  std::size_t payload_size = 0;
-  TimePoint event_time;
-  TimePoint ingest_time;
-  std::uint64_t checksum = 0;
-  Offset offset = 0;  // absolute partition offset (base_offset + row)
-};
-
 class RecordBatch {
  public:
-  RecordBatch() { key_offsets_.push_back(0); payload_offsets_.push_back(0); }
-
   std::size_t size() const { return event_ns_.size(); }
   bool empty() const { return event_ns_.empty(); }
   // Retained key+payload bytes — the unit topic byte budgets meter,
   // matching the per-record accounting in the partition.
   std::size_t byte_size() const { return keys_.size() + payloads_.size(); }
 
-  void Reserve(std::size_t rows, std::size_t key_bytes, std::size_t payload_bytes);
-  void Clear();
-
   // --- row append ------------------------------------------------------
-  void Append(const Record& r);
   void AppendRow(std::string_view key, const std::uint8_t* payload,
                  std::size_t payload_size, TimePoint event_time,
                  TimePoint ingest_time, std::uint64_t checksum,
                  const trace::SpanContext& ctx = {});
   // Bulk-append rows [from, from + n) of `src`: contiguous column-range
-  // copies (the batched-fetch fast path).
+  // copies with the prefix offsets rebased onto this batch.
   void AppendRange(const RecordBatch& src, std::size_t from, std::size_t n);
 
-  // Overwrite the ingest timestamp of rows [first_row, size): the
-  // partition stamps ingest time at append, exactly like the per-record
-  // path does on each Record.
-  void StampIngest(std::size_t first_row, TimePoint ingest);
-
   // --- row access ------------------------------------------------------
-  RecordView row(std::size_t i) const;
+  // Slices borrow from the batch: valid while it is alive and un-mutated.
   std::string_view key(std::size_t i) const {
     return std::string_view(keys_.data() + key_offsets_[i],
                             key_offsets_[i + 1] - key_offsets_[i]);
@@ -105,23 +67,20 @@ class RecordBatch {
   }
 
   // Causal-trace headers ride in a side column, in-memory only — exactly
-  // like Record::trace_ctx, they are never serialized, so batched bytes
-  // and digests are identical with tracing on or off.
-  const trace::SpanContext& trace_ctx(std::size_t i) const { return trace_[i]; }
-  void set_trace_ctx(std::size_t i, const trace::SpanContext& ctx);
-  // True if any row carries a valid trace context (the broker's bulk fast
-  // path defers to the per-record path for traced rows).
-  bool has_traced_rows() const { return has_traced_rows_; }
+  // like Record::trace_ctx, they never touch payload bytes or digests.
+  const trace::SpanContext& trace_ctx(std::size_t i) const {
+    static constexpr trace::SpanContext kUntraced{};
+    return trace_.empty() ? kUntraced : trace_[i];
+  }
 
-  // Raw column accessors for batch-aware operators (analytics/columnar.h
-  // kernels aggregate straight over these).
+  // Raw timestamp columns for the segment indexes (stream/segment.h).
   const std::int64_t* event_ns_data() const { return event_ns_.data(); }
   const std::int64_t* ingest_ns_data() const { return ingest_ns_.data(); }
-  const std::uint64_t* checksums_data() const { return checksums_.data(); }
 
-  // --- materialization (legacy per-record boundaries) -------------------
+  // --- materialization (row-shaped callers) ------------------------------
   Record MaterializeRecord(std::size_t i) const;
   StoredRecord MaterializeStored(std::size_t i) const;
+  std::vector<StoredRecord> Materialize() const;
 
   // Position metadata stamped by the fetch path: the absolute offset of
   // row 0 and the partition the batch was read from.
@@ -130,18 +89,13 @@ class RecordBatch {
   PartitionId partition() const { return partition_; }
   void set_partition(PartitionId p) { partition_ = p; }
 
-  // --- wire format ------------------------------------------------------
-  // Columnar serialization (docs/batching.md): magic + version + row
-  // count, fixed-width columns, offset arrays, flat key/payload buffers,
-  // and one batch-level FNV-1a checksum over everything after the header
-  // — integrity is verified once per batch instead of once per record.
-  // Trace contexts are not serialized.
-  Bytes Serialize() const;
-  static Expected<RecordBatch> Deserialize(const Bytes& buf);
-
  private:
-  // Columns; all row-indexed vectors hold exactly size() entries, the
-  // offset arrays size() + 1 (prefix offsets, Arrow layout).
+  // Columns; all row-indexed vectors hold exactly size() entries. The
+  // offset arrays are prefix offsets (Arrow layout) with size() + 1
+  // entries once a row exists, and stay empty until then, so an empty
+  // batch — the common answer to a poll of an idle partition — allocates
+  // nothing. The trace column likewise stays empty until a row with a
+  // valid context arrives (untraced runs never allocate it).
   std::vector<std::int64_t> event_ns_;
   std::vector<std::int64_t> ingest_ns_;
   std::vector<std::uint64_t> checksums_;
@@ -150,7 +104,6 @@ class RecordBatch {
   std::string keys_;
   Bytes payloads_;
   std::vector<trace::SpanContext> trace_;
-  bool has_traced_rows_ = false;
 
   Offset base_offset_ = 0;
   PartitionId partition_ = 0;

@@ -4,8 +4,8 @@
 
 namespace arbd::stream {
 
-std::vector<StoredRecord> Consumer::Poll(std::size_t max_records, Deadline* deadline) {
-  std::vector<StoredRecord> out;
+std::vector<RecordBatch> Consumer::PollBatches(std::size_t max_records, Deadline* deadline) {
+  std::vector<RecordBatch> out;
   if (fenced_ || positions_.empty() || max_records == 0) return out;
   // Polling observes the current generation: progress made now is
   // committable until the next rebalance invalidates it.
@@ -17,23 +17,9 @@ std::vector<StoredRecord> Consumer::Poll(std::size_t max_records, Deadline* dead
   parts.reserve(positions_.size());
   for (const auto& [p, _] : positions_) parts.push_back(p);
 
-  const bool batched = BatchingEnabled();
-  // One fetch attempt, through whichever path the flag selects. Both
-  // shapes return the same rows and the same structured OutOfRange, so the
-  // auto-reset logic below is shared verbatim.
-  auto fetch = [&](PartitionId p, Offset pos,
-                   std::size_t want) -> Expected<std::vector<StoredRecord>> {
-    if (!batched) return group_.broker_.Fetch(group_.topic_name_, p, pos, want);
-    auto batch = group_.broker_.FetchBatch(group_.topic_name_, p, pos, want);
-    if (!batch.ok()) return batch.status();
-    std::vector<StoredRecord> rows;
-    rows.reserve(batch->size());
-    for (std::size_t i = 0; i < batch->size(); ++i) rows.push_back(batch->MaterializeStored(i));
-    return rows;
-  };
-
   const std::size_t n = parts.size();
-  for (std::size_t i = 0; i < n && out.size() < max_records; ++i) {
+  std::size_t got = 0;
+  for (std::size_t i = 0; i < n && got < max_records; ++i) {
     // An exhausted budget stops the rotation between partitions — the
     // records already gathered are returned, and the cursor still
     // advances so the next poll resumes fairly.
@@ -45,7 +31,7 @@ std::vector<StoredRecord> Consumer::Poll(std::size_t max_records, Deadline* dead
         deadline->Charge(gate->OpCost(group_.topic_name_, p));
       }
     }
-    auto fetched = fetch(p, pos, max_records - out.size());
+    auto fetched = group_.broker_.FetchBatch(group_.topic_name_, p, pos, max_records - got);
     if (!fetched.ok()) {
       const Status st = fetched.status();
       if (st.code() == StatusCode::kOutOfRange && st.has_range()) {
@@ -53,55 +39,32 @@ std::vector<StoredRecord> Consumer::Poll(std::size_t max_records, Deadline* dead
         // (retention or truncation ran past us). Reposition per the
         // group's reset policy using the structured range — no string
         // parsing — and retry immediately so the surviving records are
-        // delivered in this same Poll.
+        // delivered in this same poll.
         pos = group_.reset_ == ResetPolicy::kEarliest ? st.range_lo() : st.range_hi();
         ++group_.auto_resets_;
-        fetched = fetch(p, pos, max_records - out.size());
+        fetched = group_.broker_.FetchBatch(group_.topic_name_, p, pos, max_records - got);
       }
       if (!fetched.ok()) continue;  // transient (injected fault, unknown topic)
     }
-    for (auto& sr : *fetched) {
-      sr.partition = p;
-      pos = sr.offset + 1;
-      out.push_back(std::move(sr));
-    }
+    if (fetched->empty()) continue;
+    pos = fetched->base_offset() + static_cast<Offset>(fetched->size());
+    got += fetched->size();
+    if (out.empty()) out.reserve(n - i);
+    out.push_back(std::move(*fetched));
   }
   rr_cursor_ = (rr_cursor_ + 1) % std::max<std::size_t>(n, 1);
   return out;
 }
 
-std::vector<RecordBatch> Consumer::PollBatches(std::size_t max_records) {
-  std::vector<RecordBatch> out;
-  if (fenced_ || positions_.empty() || max_records == 0) return out;
-  observed_generation_ = group_.generation_;
-
-  std::vector<PartitionId> parts;
-  parts.reserve(positions_.size());
-  for (const auto& [p, _] : positions_) parts.push_back(p);
-
-  const std::size_t n = parts.size();
-  std::size_t got = 0;
-  for (std::size_t i = 0; i < n && got < max_records; ++i) {
-    const PartitionId p = parts[(rr_cursor_ + i) % n];
-    Offset& pos = positions_[p];
-    auto fetched = group_.broker_.FetchBatch(group_.topic_name_, p, pos, max_records - got);
-    if (!fetched.ok()) {
-      const Status st = fetched.status();
-      if (st.code() == StatusCode::kOutOfRange && st.has_range()) {
-        // Same auto-reset contract as Poll (the structured range comes
-        // from the identical FetchBatch OutOfRange payload).
-        pos = group_.reset_ == ResetPolicy::kEarliest ? st.range_lo() : st.range_hi();
-        ++group_.auto_resets_;
-        fetched = group_.broker_.FetchBatch(group_.topic_name_, p, pos, max_records - got);
-      }
-      if (!fetched.ok()) continue;
-    }
-    if (fetched->empty()) continue;
-    pos = fetched->base_offset() + static_cast<Offset>(fetched->size());
-    got += fetched->size();
-    out.push_back(std::move(*fetched));
+std::vector<StoredRecord> Consumer::Poll(std::size_t max_records, Deadline* deadline) {
+  const std::vector<RecordBatch> batches = PollBatches(max_records, deadline);
+  std::size_t rows = 0;
+  for (const RecordBatch& batch : batches) rows += batch.size();
+  std::vector<StoredRecord> out;
+  out.reserve(rows);
+  for (const RecordBatch& batch : batches) {
+    for (std::size_t i = 0; i < batch.size(); ++i) out.push_back(batch.MaterializeStored(i));
   }
-  rr_cursor_ = (rr_cursor_ + 1) % std::max<std::size_t>(n, 1);
   return out;
 }
 

@@ -25,26 +25,22 @@ class ConsumerGroup;
 class Consumer {
  public:
   // Fetches up to max_records across assigned partitions (round-robin so
-  // one hot partition cannot starve the others). With ARBD_BATCH on, the
-  // fetches go through the broker's columnar FetchBatch and rows are
-  // materialized at the return boundary — same records, same auto-reset
-  // behaviour, one batched fetch per partition.
+  // one hot partition cannot starve the others), one broker FetchBatch per
+  // partition visited. Rows stay in their per-partition RecordBatches (one
+  // per non-empty partition, stamped with partition and base offset) for
+  // zero-copy downstream processing.
   //
-  // The optional deadline (ISSUE 10) bounds the poll to a budget: each
+  // The optional deadline bounds the poll to a budget: each
   // partition fetch charges the cluster gate's modeled per-op cost
   // (zero without a cluster), and once the budget is spent the poll
   // stops visiting further partitions and returns what it has — a
   // frame-deadline consumer degrades to partial progress instead of
-  // blowing the frame. Null = the original unbounded poll, byte for
-  // byte.
-  std::vector<StoredRecord> Poll(std::size_t max_records, Deadline* deadline = nullptr);
+  // blowing the frame. Null = the unbounded poll.
+  std::vector<RecordBatch> PollBatches(std::size_t max_records,
+                                       Deadline* deadline = nullptr);
 
-  // Columnar poll: the same partition rotation, positions, and auto-reset
-  // semantics as Poll, but rows stay in per-partition RecordBatches (one
-  // per non-empty partition visited) for zero-copy downstream processing.
-  // Unlike Poll this never materializes Records; it is the platform's
-  // batch-mode ingest surface.
-  std::vector<RecordBatch> PollBatches(std::size_t max_records);
+  // PollBatches with the rows materialized as StoredRecords, in poll order.
+  std::vector<StoredRecord> Poll(std::size_t max_records, Deadline* deadline = nullptr);
 
   // Reposition every assigned partition to the smallest retained offset
   // whose event time is >= t (the log end when the partition has nothing

@@ -549,17 +549,6 @@ void Pipeline::ProcessBatchParallel(exec::Executor& exec,
   SubmitStage(exec, 0, shard_base, std::move(items));
 }
 
-void Pipeline::PushBatch(const std::vector<Event>& batch) {
-  std::vector<ParItem> items = PlanBatch(batch);
-  for (std::size_t stage = 0; stage < stages_.size() && !items.empty(); ++stage) {
-    std::vector<ParItem> next;
-    next.reserve(items.size());
-    RunStageOnItems(stage, items, next);
-    items = std::move(next);
-  }
-  if (!items.empty()) DeliverTerminal(items);
-}
-
 void Pipeline::SubmitStage(exec::Executor& exec, std::size_t stage,
                            std::uint64_t shard_base,
                            std::shared_ptr<std::vector<ParItem>> items) {

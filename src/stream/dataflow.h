@@ -42,9 +42,9 @@ struct Event {
 
   Bytes Encode() const;
   static Expected<Event> Decode(const Bytes& buf);
-  // Zero-copy form: decode straight out of a columnar batch's payload
-  // slice (RecordBatch::payload_data/payload_size) without materializing
-  // an intermediate Bytes copy. Identical parse to Decode(Bytes).
+  // Zero-copy form: decode straight out of a polled RecordBatch's payload
+  // slice (payload_data/payload_size) without materializing an
+  // intermediate Bytes copy. Identical parse to Decode(Bytes).
   static Expected<Event> Decode(const std::uint8_t* data, std::size_t size);
 };
 
@@ -188,20 +188,9 @@ class Pipeline final : public StageContext {
   // distinct pipelines sharing an executor need shard_base strides of at
   // least stage_count()+1. The caller must exec.Drain() before touching
   // the pipeline again; the bounded inbox (Offer/DrainPending) is
-  // bypassed — in batch mode admission is the caller's fetch credit.
+  // bypassed — here admission is the caller's fetch credit.
   void ProcessBatchParallel(exec::Executor& exec, const std::vector<Event>& batch,
                             std::uint64_t shard_base = 0);
-
-  // Inline columnar-era batch execution: the same driver-side watermark
-  // assignment and in-band item sequence as ProcessBatchParallel, but the
-  // stages run stage-at-a-time on the calling thread (no executor). Each
-  // stage consumes the whole ordered item sequence before the next stage
-  // starts, which is exactly what the task chain does, so sink calls,
-  // counters, and checkpoint bytes are bit-identical to Push(batch[i]) in
-  // order — and to ProcessBatchParallel at any worker count. Like the
-  // parallel form it bypasses the bounded inbox; callers with queued
-  // events must drain them first to preserve FIFO order.
-  void PushBatch(const std::vector<Event>& batch);
 
   std::size_t stage_count() const { return stages_.size(); }
 
@@ -256,17 +245,15 @@ class Pipeline final : public StageContext {
   class BatchCtx;
   void SubmitStage(exec::Executor& exec, std::size_t stage, std::uint64_t shard_base,
                    std::shared_ptr<std::vector<ParItem>> items);
-  // Shared per-stage item pump: runs stage `stage` over the ordered item
-  // sequence, appending its outputs to `next`. Used by both the executor
-  // task chain (SubmitStage) and the inline batch path (PushBatch) so the
-  // two cannot drift.
+  // Per-stage item pump: runs stage `stage` over the ordered item
+  // sequence, appending its outputs to `next`.
   void RunStageOnItems(std::size_t stage, std::vector<ParItem>& items,
                        std::vector<ParItem>& next);
   // Terminal delivery: hand the final item sequence to sinks, in order.
   void DeliverTerminal(const std::vector<ParItem>& items);
-  // Driver-side bookkeeping shared by ProcessBatchParallel and PushBatch:
-  // replicates Push's watermark arithmetic event-for-event and returns the
-  // in-band item sequence (events + watermark markers) stage 0 should see.
+  // Driver-side bookkeeping for ProcessBatchParallel: replicates Push's
+  // watermark arithmetic event-for-event and returns the in-band item
+  // sequence (events + watermark markers) stage 0 should see.
   std::vector<ParItem> PlanBatch(const std::vector<Event>& batch);
 
   // Span name for stage `index`, recorded on traced events; returns the

@@ -121,24 +121,7 @@ Offset Partition::Append(Record record, TimePoint ingest_time) {
   return off;
 }
 
-Offset Partition::AppendBatchRange(const RecordBatch& batch, std::size_t from_row,
-                                   std::size_t n, TimePoint ingest_time) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const Offset base = EndLocked();
-  const std::size_t first = active_.size();
-  active_.AppendRange(batch, from_row, n);
-  active_.StampIngest(first, ingest_time);
-  for (std::size_t i = 0; i < n; ++i) {
-    bytes_ += batch.row_bytes(from_row + i);
-    max_event_time_ = std::max(max_event_time_, batch.event_time(from_row + i));
-  }
-  MaybeSealLocked();
-  UpdateMirrors();
-  return base;
-}
-
-Expected<std::vector<StoredRecord>> Partition::Fetch(Offset from,
-                                                     std::size_t max_records) const {
+Expected<RecordBatch> Partition::FetchBatch(Offset from, std::size_t max_records) const {
   std::lock_guard<std::mutex> lk(mu_);
   const Offset end = EndLocked();
   if (from < start_offset_) {
@@ -153,58 +136,11 @@ Expected<std::vector<StoredRecord>> Partition::Fetch(Offset from,
                               std::to_string(end))
         .WithRange(start_offset_, end);
   }
-  std::vector<StoredRecord> out;
-  std::size_t n = std::min(max_records, static_cast<std::size_t>(end - from));
-  out.reserve(n);
-  Offset cur = from;
-  // First sealed segment covering `cur` (offset index: binary search on
-  // the dense per-segment bounds), then contiguous chunks tier by tier.
-  std::size_t si = 0, si_end = sealed_.size();
-  while (si < si_end) {
-    const std::size_t mid = si + (si_end - si) / 2;
-    if (sealed_[mid]->end_offset() <= cur) si = mid + 1; else si_end = mid;
-  }
-  for (; n > 0 && si < sealed_.size(); ++si) {
-    const Segment& seg = *sealed_[si];
-    const std::size_t row = static_cast<std::size_t>(cur - seg.base_offset());
-    const std::size_t take = std::min(n, seg.rows() - row);
-    for (std::size_t i = 0; i < take; ++i) {
-      StoredRecord sr;
-      sr.offset = cur + static_cast<Offset>(i);
-      sr.record = seg.data().MaterializeRecord(row + i);
-      out.push_back(std::move(sr));
-    }
-    cur += static_cast<Offset>(take);
-    n -= take;
-  }
-  if (n > 0 && cur < end) {
-    const std::size_t row = active_head_ + static_cast<std::size_t>(cur - active_base_);
-    for (std::size_t i = 0; i < n; ++i) {
-      StoredRecord sr;
-      sr.offset = cur + static_cast<Offset>(i);
-      sr.record = active_.MaterializeRecord(row + i);
-      out.push_back(std::move(sr));
-    }
-  }
-  return out;
-}
-
-Expected<RecordBatch> Partition::FetchBatch(Offset from, std::size_t max_records) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const Offset end = EndLocked();
-  if (from < start_offset_) {
-    return Status::OutOfRange("offset " + std::to_string(from) +
-                              " below log start " + std::to_string(start_offset_))
-        .WithRange(start_offset_, end);
-  }
-  if (from > end) {
-    return Status::OutOfRange("offset " + std::to_string(from) + " beyond log end " +
-                              std::to_string(end))
-        .WithRange(start_offset_, end);
-  }
   RecordBatch out;
   std::size_t n = std::min(max_records, static_cast<std::size_t>(end - from));
   Offset cur = from;
+  // First sealed segment covering `cur` (offset index: binary search on
+  // the dense per-segment bounds), then contiguous chunks tier by tier.
   std::size_t si = 0, si_end = sealed_.size();
   while (si < si_end) {
     const std::size_t mid = si + (si_end - si) / 2;
@@ -226,6 +162,13 @@ Expected<RecordBatch> Partition::FetchBatch(Offset from, std::size_t max_records
   }
   out.set_base_offset(from);
   return out;
+}
+
+Expected<std::vector<StoredRecord>> Partition::Fetch(Offset from,
+                                                     std::size_t max_records) const {
+  auto batch = FetchBatch(from, max_records);
+  if (!batch.ok()) return batch.status();
+  return batch->Materialize();
 }
 
 std::size_t Partition::EnforceRetention(const TopicConfig& cfg, TimePoint now) {
@@ -585,139 +528,6 @@ Expected<Offset> Broker::ProduceImpl(const std::string& topic, Topic* t,
   return *off;
 }
 
-Expected<Broker::BatchProduceResult> Broker::ProduceBatch(const std::string& topic,
-                                                          PartitionId partition,
-                                                          const RecordBatch& batch) {
-  auto t = GetTopic(topic);
-  if (!t.ok()) return t.status();
-  if (partition >= (*t)->partition_count()) {
-    return Status::OutOfRange("partition " + std::to_string(partition) + " of topic '" +
-                              topic + "'");
-  }
-  BatchProduceResult res;
-  const std::size_t n = batch.size();
-  if (n == 0) return res;
-  if (cluster_gate_ != nullptr) {
-    // Same reject count the per-record loop would produce (the gate's
-    // answer is stable within a call: cluster state moves only on ticks),
-    // decided once instead of n times. A batched produce is one network
-    // request, so a lossy link drops it with one decision too — the
-    // identity covers the whole batch (partition, size, first row).
-    Status admitted = cluster_gate_->AdmitProduceRequest(
-        topic, partition,
-        MixRequestId(static_cast<std::uint64_t>(partition) ^
-                     (static_cast<std::uint64_t>(n) << 40) ^
-                     static_cast<std::uint64_t>(batch.event_time(0).nanos())));
-    if (!admitted.ok()) {
-      res.rejected = n;
-      res.unavailable = n;
-      return res;
-    }
-  }
-
-  // The bulk path is taken only when it is provably equivalent to the
-  // per-record loop: a fault injector draws its RNG once per record, and a
-  // traced row records one produce span per record — both per-row effects
-  // a single bulk append cannot reproduce.
-  const bool traced = tracer_ != nullptr && tracer_->enabled() && batch.has_traced_rows();
-  if (fault_ == nullptr && !traced) {
-    // Budget scan: the per-record loop checks the running totals before
-    // every append, and totals only grow, so the accepted rows form a
-    // prefix — find its length, then append it in one shot.
-    const TopicConfig& cfg = (*t)->config();
-    std::size_t accept = n;
-    if (cfg.max_records > 0 || cfg.max_bytes > 0) {
-      const std::size_t held_records = (*t)->TotalRecords();
-      const std::size_t held_bytes = (*t)->TotalBytes();
-      std::size_t bytes_delta = 0;
-      accept = 0;
-      for (; accept < n; ++accept) {
-        const bool over_records =
-            cfg.max_records > 0 && held_records + accept >= cfg.max_records;
-        const bool over_bytes = cfg.max_bytes > 0 && held_bytes + bytes_delta >= cfg.max_bytes;
-        if (over_records || over_bytes) break;
-        bytes_delta += batch.row_bytes(accept);
-      }
-    }
-    const std::size_t over_budget = n - accept;
-    bool bulk_done = accept == 0;
-    if (accept > 0) {
-      auto base = (*t)->replication(partition).ProduceBatch(batch, 0, accept, clock_.Now());
-      if (base.ok()) {
-        res.base_offset = *base;
-        res.produced = accept;
-        total_produced_.fetch_add(accept, std::memory_order_relaxed);
-        bulk_done = true;
-      }
-      // kFailedPrecondition: the replica group is mid-failure (leaderless
-      // or an auto-restore armed) — nothing appended; take the per-record
-      // loop below, which reproduces the per-attempt restore ticks.
-    }
-    if (bulk_done) {
-      res.rejected = over_budget;
-      if (over_budget > 0) {
-        backpressure_rejects_.fetch_add(over_budget, std::memory_order_relaxed);
-        if (metrics_ != nullptr) {
-          metrics_->Add("qos.backpressure." + topic, static_cast<double>(over_budget));
-        }
-      }
-      if (metrics_ != nullptr && res.produced > 0) {
-        metrics_->Set("qos.depth." + topic + ".p" + std::to_string(partition),
-                      static_cast<double>((*t)->partition(partition).size()));
-        metrics_->Set("qos.bytes." + topic, static_cast<double>((*t)->TotalBytes()));
-      }
-      return res;
-    }
-  }
-
-  // Per-record fallback: identical fault draws, span trees, and restore
-  // ticks to calling ProduceToPartition row by row.
-  for (std::size_t i = 0; i < n; ++i) {
-    auto off = ProduceImpl(topic, *t, partition, batch.MaterializeRecord(i));
-    if (off.ok()) {
-      if (res.produced == 0) res.base_offset = *off;
-      ++res.produced;
-    } else {
-      ++res.rejected;
-      if (off.status().code() == StatusCode::kUnavailable) ++res.unavailable;
-    }
-  }
-  return res;
-}
-
-Expected<std::vector<StoredRecord>> Broker::Fetch(const std::string& topic,
-                                                  PartitionId partition, Offset from,
-                                                  std::size_t max_records) {
-  auto t = GetTopic(topic);
-  if (!t.ok()) return t.status();
-  if (partition >= (*t)->partition_count()) {
-    return Status::OutOfRange("partition " + std::to_string(partition) + " of topic '" +
-                              topic + "'");
-  }
-  if (cluster_gate_ != nullptr) {
-    Status admitted = cluster_gate_->AdmitFetchRequest(
-        topic, partition,
-        MixRequestId(static_cast<std::uint64_t>(from) ^
-                     (static_cast<std::uint64_t>(partition) << 48)));
-    if (!admitted.ok()) return admitted;
-  }
-  if (fault_ != nullptr) {
-    std::lock_guard<std::mutex> flk(fault_mu_);
-    if (fault_->Fire(fault::FaultKind::kFetchError, fault::InjectionPoint::kBrokerFetch)) {
-      return Status::Unavailable("injected fetch error on topic '" + topic + "'");
-    }
-  }
-  auto fetched = (*t)->partition(partition).Fetch(from, max_records);
-  if (metrics_ != nullptr && fetched.ok() && !fetched->empty()) {
-    // Ingest-to-fetch lag of the newest record handed out: how far behind
-    // the head this consumer is running, in wall-clock terms.
-    const Duration lag = clock_.Now() - fetched->back().record.ingest_time;
-    metrics_->Set("qos.lag_ms." + topic + ".p" + std::to_string(partition),
-                  lag.seconds() * 1e3);
-  }
-  return fetched;
-}
-
 Expected<RecordBatch> Broker::FetchBatch(const std::string& topic, PartitionId partition,
                                          Offset from, std::size_t max_records) {
   auto t = GetTopic(topic);
@@ -727,9 +537,6 @@ Expected<RecordBatch> Broker::FetchBatch(const std::string& topic, PartitionId p
                               topic + "'");
   }
   if (cluster_gate_ != nullptr) {
-    // Same identity as the Fetch shape for the same (partition, from):
-    // whichever fetch path the consumer uses, a lossy link makes the same
-    // drop decision.
     Status admitted = cluster_gate_->AdmitFetchRequest(
         topic, partition,
         MixRequestId(static_cast<std::uint64_t>(from) ^
@@ -738,8 +545,6 @@ Expected<RecordBatch> Broker::FetchBatch(const std::string& topic, PartitionId p
   }
   if (fault_ != nullptr) {
     std::lock_guard<std::mutex> flk(fault_mu_);
-    // Exactly one draw per call, like Fetch: the injector's sequence is
-    // identical whichever fetch shape the consumer uses.
     if (fault_->Fire(fault::FaultKind::kFetchError, fault::InjectionPoint::kBrokerFetch)) {
       return Status::Unavailable("injected fetch error on topic '" + topic + "'");
     }
@@ -748,11 +553,21 @@ Expected<RecordBatch> Broker::FetchBatch(const std::string& topic, PartitionId p
   if (!fetched.ok()) return fetched.status();
   fetched->set_partition(partition);
   if (metrics_ != nullptr && !fetched->empty()) {
+    // Ingest-to-fetch lag of the newest record handed out: how far behind
+    // the head this consumer is running, in wall-clock terms.
     const Duration lag = clock_.Now() - fetched->ingest_time(fetched->size() - 1);
     metrics_->Set("qos.lag_ms." + topic + ".p" + std::to_string(partition),
                   lag.seconds() * 1e3);
   }
   return fetched;
+}
+
+Expected<std::vector<StoredRecord>> Broker::Fetch(const std::string& topic,
+                                                  PartitionId partition, Offset from,
+                                                  std::size_t max_records) {
+  auto batch = FetchBatch(topic, partition, from, max_records);
+  if (!batch.ok()) return batch.status();
+  return batch->Materialize();
 }
 
 Expected<QueryResult> Broker::QueryRange(const std::string& topic, PartitionId partition,

@@ -134,23 +134,16 @@ class Partition {
  public:
   Offset Append(Record record, TimePoint ingest_time);
 
-  // Bulk append of rows [from_row, from_row + n) of `batch`: one column-
-  // range copy under one lock acquisition, equivalent to n sequential
-  // Appends. Returns the offset of the first appended row.
-  Offset AppendBatchRange(const RecordBatch& batch, std::size_t from_row,
-                          std::size_t n, TimePoint ingest_time);
-
-  // Fetch up to `max_records` starting at `from`. Returns OutOfRange if
-  // `from` is below the log start (truncated away) or above the end.
-  Expected<std::vector<StoredRecord>> Fetch(Offset from, std::size_t max_records) const;
-
-  // Columnar fetch: the same rows as Fetch but returned as one RecordBatch
-  // built from contiguous column-range copies (no per-record string/vector
-  // construction). The OutOfRange contract matches Fetch exactly — both
-  // the below-log-start and beyond-end errors carry the valid
-  // [log_start, end) window so consumer auto-reset works unchanged when
-  // batching is on.
+  // Fetch up to `max_records` starting at `from` as one RecordBatch built
+  // from contiguous column-range copies (no per-record string/vector
+  // construction), with base_offset stamped. Returns OutOfRange if `from`
+  // is below the log start (truncated away) or above the end; both errors
+  // carry the valid [log_start, end) window so consumers can reposition
+  // without parsing the message.
   Expected<RecordBatch> FetchBatch(Offset from, std::size_t max_records) const;
+
+  // FetchBatch with the rows materialized as StoredRecords.
+  Expected<std::vector<StoredRecord>> Fetch(Offset from, std::size_t max_records) const;
 
   Offset log_start_offset() const { return start_mirror_.load(std::memory_order_acquire); }
   Offset end_offset() const { return end_mirror_.load(std::memory_order_acquire); }
@@ -312,30 +305,6 @@ class Broker {
   Expected<Offset> ProduceToPartition(const std::string& topic, PartitionId partition,
                                       Record record);
 
-  // Outcome of one batched produce. `rejected` counts rows the broker
-  // refused (budget, injected faults, leaderless group) — the same rows a
-  // per-record loop would have seen fail one by one.
-  struct BatchProduceResult {
-    Offset base_offset = -1;  // offset of the first produced row; -1 if none
-    std::size_t produced = 0;
-    std::size_t rejected = 0;
-    // Of `rejected`, rows refused as kUnavailable — an unreachable leader
-    // broker (cluster gate) or a leaderless replica group. These are the
-    // retriable rejections a cluster producer reroutes.
-    std::size_t unavailable = 0;
-  };
-
-  // Columnar produce: append every row of `batch` to one partition,
-  // equivalent to looping ProduceToPartition over materialized rows but
-  // paying broker bookkeeping once per batch. The bulk path runs only when
-  // it is provably equivalent — no fault injector (whose RNG draws are
-  // per-record), no traced rows (whose span trees are per-record), and a
-  // steady replica group — and otherwise falls back to the per-record loop
-  // internally, so the observable outcome is identical either way.
-  Expected<BatchProduceResult> ProduceBatch(const std::string& topic,
-                                            PartitionId partition,
-                                            const RecordBatch& batch);
-
   // Idempotent produce: like ProduceToPartition, but stamped with the
   // producer's stable id and per-partition sequence number so the replica
   // group can dedup retries after a lost ack (torn append, leader crash).
@@ -358,14 +327,14 @@ class Broker {
   Status CrashLeader(const std::string& topic, PartitionId partition,
                      std::size_t restore_after_ops = 0);
 
-  Expected<std::vector<StoredRecord>> Fetch(const std::string& topic, PartitionId partition,
-                                            Offset from, std::size_t max_records);
-
-  // Columnar fetch: same rows, faults (one kFetchError draw per call), and
-  // OutOfRange contract as Fetch, returned as one zero-copy-viewable
-  // RecordBatch stamped with (partition, base_offset).
+  // The one fetch path: cluster-gate admission, then exactly one
+  // kFetchError fault draw, then Partition::FetchBatch. The batch comes
+  // back stamped with (partition, base_offset) and is zero-copy readable.
   Expected<RecordBatch> FetchBatch(const std::string& topic, PartitionId partition,
                                    Offset from, std::size_t max_records);
+  // FetchBatch with the rows materialized as StoredRecords.
+  Expected<std::vector<StoredRecord>> Fetch(const std::string& topic, PartitionId partition,
+                                            Offset from, std::size_t max_records);
 
   // --- historical read path (stream/query.h) ----------------------------
   // Offset-range and event-time queries over the segmented log, served

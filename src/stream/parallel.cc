@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "exec/cost.h"
-#include "stream/batch.h"
-
 namespace arbd::stream {
 
 ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
@@ -36,15 +33,12 @@ ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
     return report;
   }
   const std::size_t nparts = (*t)->partition_count();
-  const bool batched = BatchingEnabled();
 
   // Partition assignment happens here, on the driver, in record order:
   // this is the only place the round-robin counter, hash, or router is
   // consulted, so the record→partition mapping is independent of worker
-  // count. In batch mode the buckets are columnar from the start —
-  // records go straight into per-partition RecordBatches, never re-boxed.
+  // count.
   std::vector<std::vector<Record>> buckets(nparts);
-  std::vector<RecordBatch> batches(nparts);
   std::size_t misassigned = 0;
   for (auto& r : records) {
     const PartitionId p = assign(r);
@@ -52,11 +46,7 @@ ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
       ++misassigned;
       continue;
     }
-    if (batched) {
-      batches[p].Append(r);
-    } else {
-      buckets[p].push_back(std::move(r));
-    }
+    buckets[p].push_back(std::move(r));
   }
   report.rejected += misassigned;
 
@@ -64,27 +54,6 @@ ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
   std::vector<std::size_t> rejected(nparts, 0);
   std::vector<std::size_t> unavailable(nparts, 0);
   for (std::size_t p = 0; p < nparts; ++p) {
-    if (batched) {
-      if (batches[p].empty()) continue;
-      // One amortized batch charge instead of n flat per-record charges —
-      // the modeled-throughput step E23 measures.
-      const Duration cost = exec::BatchedCost(cost_per_record).For(batches[p].size());
-      exec.SubmitCost(p, cost,
-                      [&broker, &topic, &batches, &produced, &rejected, &unavailable, p] {
-        auto res = broker.ProduceBatch(topic, static_cast<PartitionId>(p), batches[p]);
-        if (res.ok()) {
-          produced[p] = res->produced;
-          rejected[p] = res->rejected;
-          unavailable[p] = res->unavailable;
-        } else {
-          rejected[p] = batches[p].size();
-          if (res.status().code() == StatusCode::kUnavailable) {
-            unavailable[p] = batches[p].size();
-          }
-        }
-      });
-      continue;
-    }
     if (buckets[p].empty()) continue;
     const Duration cost = cost_per_record * static_cast<double>(buckets[p].size());
     exec.SubmitCost(p, cost,
@@ -121,30 +90,14 @@ std::vector<std::vector<StoredRecord>> ParallelFetchAll(exec::Executor& exec,
   auto t = broker.GetTopic(topic);
   if (!t.ok()) return {};
   const std::size_t nparts = (*t)->partition_count();
-  const bool batched = BatchingEnabled();
   std::vector<std::vector<StoredRecord>> out(nparts);
   for (std::size_t p = 0; p < nparts; ++p) {
-    exec.Submit(p, [&broker, &exec, &topic, &out, max_per_partition, cost_per_record,
-                    batched, p, t = *t] {
+    exec.Submit(p, [&broker, &exec, &topic, &out, max_per_partition, cost_per_record, p,
+                    t = *t] {
       const Offset from = t->partition(static_cast<PartitionId>(p)).log_start_offset();
-      if (batched) {
-        auto batch = broker.FetchBatch(topic, static_cast<PartitionId>(p), from,
-                                       max_per_partition);
-        if (batch.ok()) {
-          out[p].reserve(batch->size());
-          for (std::size_t i = 0; i < batch->size(); ++i) {
-            out[p].push_back(batch->MaterializeStored(i));
-          }
-        }
-        exec.AddVirtualCost(exec::BatchedCost(cost_per_record).For(out[p].size()));
-        return;
-      }
       auto fetched = broker.Fetch(topic, static_cast<PartitionId>(p), from,
                                   max_per_partition);
-      if (fetched.ok()) {
-        out[p] = std::move(*fetched);
-        for (auto& sr : out[p]) sr.partition = static_cast<PartitionId>(p);
-      }
+      if (fetched.ok()) out[p] = std::move(*fetched);
       exec.AddVirtualCost(cost_per_record * static_cast<double>(out[p].size()));
     });
   }

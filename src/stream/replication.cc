@@ -52,45 +52,6 @@ Expected<Offset> ReplicatedPartition::Produce(Record record, TimePoint ingest_ti
   return AppendLocked(epoch_, std::move(record), ingest_time, pid, seq, crash);
 }
 
-Expected<Offset> ReplicatedPartition::ProduceBatch(const RecordBatch& batch,
-                                                   std::size_t from_row, std::size_t n,
-                                                   TimePoint ingest_time) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (sealed_) {
-    return Status::FailedPrecondition("partition sealed for split/merge handoff");
-  }
-  // Bail to the per-record path whenever a restore is armed: restores tick
-  // once per produce *attempt*, so their firing point is per-row state the
-  // bulk path would collapse. With none armed, TickRestores is a no-op for
-  // the whole run and skipping it changes nothing.
-  for (const Replica& r : replicas_) {
-    if (!r.online && r.restore_in_ops > 0) {
-      return Status::FailedPrecondition("bulk append: auto-restore armed");
-    }
-  }
-  if (leader_ == kNoLeader) {
-    return Status::FailedPrecondition("bulk append: partition leaderless");
-  }
-  if (n == 0) return committed_.end_offset();
-
-  if (replicas_.size() == 1) {
-    return committed_.AppendBatchRange(batch, from_row, n, ingest_time);
-  }
-  // Quorum path, one commit for the run: every online replica takes every
-  // entry, then the high-watermark advances once.
-  const Offset base = committed_.end_offset();
-  Replica& leader = replicas_[leader_];
-  for (std::size_t i = 0; i < n; ++i) {
-    Entry entry{epoch_, 0, 0, batch.MaterializeRecord(from_row + i), ingest_time};
-    for (NodeId nn = 0; nn < replicas_.size(); ++nn) {
-      if (nn != leader_ && replicas_[nn].online) replicas_[nn].tail.push_back(entry);
-    }
-    leader.tail.push_back(std::move(entry));
-  }
-  CommitLeaderTail();
-  return base;
-}
-
 Expected<Offset> ReplicatedPartition::LeaderAppend(Epoch claimed_epoch, Record record,
                                                    TimePoint ingest_time, ProducerId pid,
                                                    std::uint64_t seq, InjectedCrash crash) {
@@ -456,28 +417,15 @@ std::uint64_t CommittedDigest(const Partition& partition) {
   auto fold = [&h](std::uint64_t v) { h = Mix(h ^ v); };
   const Offset start = partition.log_start_offset();
   const std::size_t n = partition.size();
-  if (BatchingEnabled()) {
-    // Columnar walk: fold straight over zero-copy views. Byte-for-byte the
-    // same folds as the materialized loop below, so the digest value is
-    // mode-independent by construction.
-    auto batch = partition.FetchBatch(start, n);
-    if (!batch.ok()) return h;
-    for (std::size_t i = 0; i < batch->size(); ++i) {
-      fold(static_cast<std::uint64_t>(batch->base_offset() + static_cast<Offset>(i)));
-      const std::string_view key = batch->key(i);
-      fold(Fnv1a(key.data(), key.size()));
-      fold(Fnv1a(batch->payload_data(i), batch->payload_size(i)));
-      fold(static_cast<std::uint64_t>(batch->event_time(i).nanos()));
-    }
-    return h;
-  }
-  auto records = partition.Fetch(start, n);
-  if (!records.ok()) return h;
-  for (const StoredRecord& sr : *records) {
-    fold(static_cast<std::uint64_t>(sr.offset));
-    fold(Fnv1a(sr.record.key));
-    fold(Fnv1a(sr.record.payload));
-    fold(static_cast<std::uint64_t>(sr.record.event_time.nanos()));
+  // Columnar walk: fold straight over the fetched batch's zero-copy slices.
+  auto batch = partition.FetchBatch(start, n);
+  if (!batch.ok()) return h;
+  for (std::size_t i = 0; i < batch->size(); ++i) {
+    fold(static_cast<std::uint64_t>(batch->base_offset() + static_cast<Offset>(i)));
+    const std::string_view key = batch->key(i);
+    fold(Fnv1a(key.data(), key.size()));
+    fold(Fnv1a(batch->payload_data(i), batch->payload_size(i)));
+    fold(static_cast<std::uint64_t>(batch->event_time(i).nanos()));
   }
   return h;
 }

@@ -51,7 +51,6 @@ namespace arbd::stream {
 class Partition;
 class Broker;
 class Topic;
-class RecordBatch;
 
 using NodeId = std::uint32_t;
 using Epoch = std::uint64_t;
@@ -117,18 +116,6 @@ class ReplicatedPartition {
   Expected<Offset> Produce(Record record, TimePoint ingest_time,
                            ProducerId pid, std::uint64_t seq,
                            InjectedCrash crash = {});
-
-  // One-shot bulk append of rows [from_row, from_row + n) of `batch`
-  // (anonymous producer, no crash directive). Succeeds only in the steady
-  // state — a current leader and no armed auto-restores — where it is
-  // equivalent to n sequential Produce calls; otherwise returns
-  // kFailedPrecondition without appending anything and the caller falls
-  // back to the per-record path, whose per-attempt restore ticks the bulk
-  // path cannot reproduce. Returns the offset of the first row. At
-  // factor > 1 the whole batch commits as one high-watermark advance (one
-  // HwStep), where the per-record path records one per append.
-  Expected<Offset> ProduceBatch(const RecordBatch& batch, std::size_t from_row,
-                                std::size_t n, TimePoint ingest_time);
 
   // The fencing surface: an append that carries the epoch the caller
   // believes is current. A deposed leader retrying with its old epoch is

@@ -10,7 +10,7 @@ namespace arbd::stream {
 namespace {
 
 // -1 = uncached; cached so the flag costs one relaxed load on the append
-// hot path, same discipline as BatchingEnabled.
+// hot path.
 std::atomic<long long> g_segment_bytes{-1};
 
 std::size_t ReadSegmentBytesEnv() {

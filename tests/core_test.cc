@@ -233,6 +233,30 @@ TEST_F(PlatformFixture, CorruptPayloadSkipped) {
   EXPECT_EQ(platform_.ProcessPending(), 1u);  // consumed, dropped, no crash
 }
 
+// The frame budget bounds the ingest poll on a cluster: each partition
+// visit charges one modeled broker op, so a budget of 1.5 ops covers two
+// of the three partitions and the third waits for the next frame.
+TEST(PlatformFrameBudget, ProcessPendingPollStopsWhenBudgetIsSpent) {
+  SimClock clock;
+  const geo::CityModel city = geo::CityModel::Generate(geo::CityConfig{}, 51);
+  PlatformConfig cfg;
+  cfg.partitions = 3;
+  cfg.cluster_brokers = 4;
+  cfg.frame_budget = cluster::ClusterConfig{}.base_op_latency * 1.5;
+  Platform platform(cfg, city, clock);
+  auto topic = platform.broker().GetTopic(cfg.event_topic);
+  ASSERT_TRUE(topic.ok());
+  std::set<stream::PartitionId> published;
+  for (int i = 0; published.size() < cfg.partitions; ++i) {
+    const std::string key = "entity-" + std::to_string(i);
+    if (!published.insert((*topic)->PartitionFor(key)).second) continue;
+    ASSERT_TRUE(platform.Publish(Ev(key, "x", 1.0, i)).ok());
+  }
+  EXPECT_EQ(platform.ProcessPending(), 2u);
+  EXPECT_EQ(platform.ProcessPending(), 1u);
+  EXPECT_EQ(platform.ProcessPending(), 0u);
+}
+
 class ContextFixture : public ::testing::Test {
  protected:
   ContextFixture() : city_(geo::CityModel::Generate(geo::CityConfig{}, 53)) {}

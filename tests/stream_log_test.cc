@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+
+#include "common/rng.h"
+#include "stream/batch.h"
 #include "stream/log.h"
 
 namespace arbd::stream {
@@ -34,6 +38,119 @@ TEST(RecordTest, ChecksumDetectsCorruption) {
   encoded[10] ^= 0xFF;
   const auto decoded = Record::Decode(encoded);
   EXPECT_FALSE(decoded.ok());
+}
+
+// Seeded rows with empty keys and empty payloads mixed in — zero-length
+// runs are the classic off-by-one trap in prefix-offset layouts — and a
+// trace context on every fifth row.
+RecordBatch SeededBatch(std::uint64_t seed, std::size_t rows) {
+  Rng rng(seed ^ 0x5eedba7cULL);
+  RecordBatch b;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::string key =
+        (i % 7 == 3) ? "" : "key-" + std::to_string(rng.NextU64() % 32);
+    Bytes payload(rng.NextU64() % 24, static_cast<std::uint8_t>(rng.NextU64() % 256));
+    if (i % 11 == 5) payload.clear();
+    const Record r = Record::Make(
+        key, std::move(payload),
+        TimePoint::FromMillis(static_cast<std::int64_t>(rng.NextU64() % 100000)));
+    trace::SpanContext ctx;
+    if (i % 5 == 0) ctx.trace_id = seed * 1000 + i;
+    b.AppendRow(r.key, r.payload.data(), r.payload.size(), r.event_time,
+                TimePoint::FromMillis(static_cast<std::int64_t>(i)), r.checksum, ctx);
+  }
+  return b;
+}
+
+void ExpectRowEqual(const RecordBatch& got, std::size_t i, const RecordBatch& want,
+                    std::size_t j) {
+  EXPECT_EQ(got.key(i), want.key(j)) << "row " << i;
+  ASSERT_EQ(got.payload_size(i), want.payload_size(j)) << "row " << i;
+  EXPECT_TRUE(std::equal(got.payload_data(i), got.payload_data(i) + got.payload_size(i),
+                         want.payload_data(j)))
+      << "row " << i;
+  EXPECT_EQ(got.event_time(i), want.event_time(j)) << "row " << i;
+  EXPECT_EQ(got.ingest_time(i), want.ingest_time(j)) << "row " << i;
+  EXPECT_EQ(got.checksum(i), want.checksum(j)) << "row " << i;
+  EXPECT_EQ(got.row_bytes(i), want.row_bytes(j)) << "row " << i;
+  EXPECT_EQ(got.trace_ctx(i).trace_id, want.trace_ctx(j).trace_id) << "row " << i;
+}
+
+TEST(RecordBatchTest, EmptyBatchHasNoRows) {
+  RecordBatch b;
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b.byte_size(), 0u);
+  EXPECT_TRUE(b.Materialize().empty());
+  RecordBatch copy;
+  copy.AppendRange(b, 0, 0);
+  EXPECT_TRUE(copy.empty());
+}
+
+TEST(RecordBatchTest, AppendRangeRebasesOffsets) {
+  // Three ranges from two sources land back to back: every column of
+  // every row survives, and the key/payload prefix offsets are rebased
+  // onto the destination's running totals.
+  const RecordBatch a = SeededBatch(1, 40);
+  const RecordBatch b = SeededBatch(2, 40);
+  RecordBatch out;
+  out.AppendRange(a, 5, 20);
+  out.AppendRange(b, 0, 1);
+  out.AppendRange(b, 17, 23);
+  ASSERT_EQ(out.size(), 44u);
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < 20; ++i) ExpectRowEqual(out, i, a, 5 + i);
+  ExpectRowEqual(out, 20, b, 0);
+  for (std::size_t i = 0; i < 23; ++i) ExpectRowEqual(out, 21 + i, b, 17 + i);
+  for (std::size_t i = 0; i < out.size(); ++i) bytes += out.row_bytes(i);
+  EXPECT_EQ(out.byte_size(), bytes);
+  // Appending a single row after bulk ranges continues the same offsets.
+  out.AppendRow("tail", nullptr, 0, TimePoint::FromMillis(1), TimePoint::FromMillis(2), 7);
+  EXPECT_EQ(out.key(44), "tail");
+  EXPECT_EQ(out.payload_size(44), 0u);
+  EXPECT_EQ(out.byte_size(), bytes + 4);
+}
+
+TEST(RecordBatchTest, TraceContextsSurviveAppend) {
+  // The trace column starts empty and fills in at the first traced row,
+  // including when that row is the batch's first.
+  const RecordBatch b = SeededBatch(4, 12);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(b.trace_ctx(i).trace_id, i % 5 == 0 ? 4000 + i : 0u) << "row " << i;
+  }
+  RecordBatch late;
+  late.AppendRow("a", nullptr, 0, TimePoint{}, TimePoint{}, 0);
+  trace::SpanContext ctx;
+  ctx.trace_id = 9;
+  late.AppendRow("b", nullptr, 0, TimePoint{}, TimePoint{}, 0, ctx);
+  late.AppendRange(b, 1, 5);
+  EXPECT_EQ(late.trace_ctx(0).trace_id, 0u);
+  EXPECT_EQ(late.trace_ctx(1).trace_id, 9u);
+  EXPECT_EQ(late.trace_ctx(2).trace_id, 0u);
+  EXPECT_EQ(late.trace_ctx(6).trace_id, 4005u);
+  EXPECT_EQ(late.MaterializeRecord(1).trace_ctx.trace_id, 9u);
+}
+
+TEST(RecordBatchTest, MaterializedRecordsMatchColumns) {
+  RecordBatch b = SeededBatch(9, 32);
+  b.set_base_offset(100);
+  b.set_partition(3);
+  const std::vector<StoredRecord> all = b.Materialize();
+  ASSERT_EQ(all.size(), b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const Record r = b.MaterializeRecord(i);
+    EXPECT_EQ(r.key, b.key(i));
+    ASSERT_EQ(r.payload.size(), b.payload_size(i));
+    EXPECT_TRUE(std::equal(r.payload.begin(), r.payload.end(), b.payload_data(i)));
+    EXPECT_EQ(r.event_time, b.event_time(i));
+    EXPECT_EQ(r.ingest_time, b.ingest_time(i));
+    EXPECT_EQ(r.checksum, b.checksum(i));
+    EXPECT_EQ(r.trace_ctx.trace_id, b.trace_ctx(i).trace_id);
+    EXPECT_EQ(all[i].offset, 100 + static_cast<Offset>(i));
+    EXPECT_EQ(all[i].partition, 3u);
+    EXPECT_EQ(all[i].record.key, r.key);
+    EXPECT_EQ(all[i].record.payload, r.payload);
+  }
 }
 
 TEST(PartitionTest, OffsetsAreDense) {

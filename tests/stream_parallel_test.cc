@@ -1,10 +1,11 @@
-// ParallelProduce / ParallelFetchAll contract (ISSUE 6 satellite):
-// driver-side partition assignment makes the produced log independent of
-// worker count AND of the ARBD_BATCH mode, fetches that straddle a
-// truncated or compacted log start behave identically in both modes, and
-// a batched fetch landing below the log start returns the same structured
-// OutOfRange [log_start, end) range the per-record fetch does — the
-// payload consumer auto-reset repositioning depends on.
+// ParallelProduce / ParallelFetchAll contract: driver-side partition
+// assignment makes the produced log independent of worker count and of
+// the storage mode (flat or segmented log), budget rejections are counted
+// the same at every replication factor, fetches that straddle a truncated
+// or compacted log start return exactly the surviving rows, and a fetch
+// landing below the log start returns the structured OutOfRange
+// [log_start, end) range — the payload consumer auto-reset repositioning
+// depends on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,10 +15,10 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "exec/executor.h"
-#include "stream/batch.h"
 #include "stream/consumer.h"
 #include "stream/log.h"
 #include "stream/parallel.h"
+#include "stream/segment.h"
 
 namespace arbd::stream {
 namespace {
@@ -57,11 +58,14 @@ std::uint64_t FetchDigest(const std::vector<std::vector<StoredRecord>>& fetched)
 }
 
 TEST(StreamParallel, ProduceAndFetchIdenticalAcrossWorkersAndModes) {
+  // Modes: the flat single-batch store, and a segmented log whose small
+  // seal target puts seams inside every partition's fetch range.
+  const std::size_t saved_target = SegmentBytesTarget();
   std::uint64_t reference = 0;
   bool first = true;
-  for (const bool batched : {false, true}) {
+  for (const std::size_t segment_bytes : {0u, 256u}) {
     for (const std::size_t workers : {1u, 4u}) {
-      SetBatchingEnabled(batched);
+      SetSegmentBytesTarget(segment_bytes);
       SimClock clock;
       Broker broker(clock);
       exec::Executor ex(Cfg(workers));
@@ -78,45 +82,44 @@ TEST(StreamParallel, ProduceAndFetchIdenticalAcrossWorkersAndModes) {
         reference = digest;
         first = false;
       } else {
-        EXPECT_EQ(digest, reference) << "batched=" << batched << " workers=" << workers;
+        EXPECT_EQ(digest, reference)
+            << "segment_bytes=" << segment_bytes << " workers=" << workers;
       }
     }
   }
-  SetBatchingEnabled(false);
+  SetSegmentBytesTarget(saved_target);
 }
 
 TEST(StreamParallel, ProduceBudgetAccountingMatchesAcrossModes) {
-  // Over-budget batch through a single worker (the digest scenarios clamp
-  // to credit on the driver; here we deliberately exceed the budget so the
-  // reject accounting itself is exercised in both modes).
-  std::size_t produced[2] = {0, 0};
-  std::size_t rejected[2] = {0, 0};
-  std::uint64_t rejects_counter[2] = {0, 0};
-  for (const int mode : {0, 1}) {
-    SetBatchingEnabled(mode == 1);
+  // Over-budget produce through a single worker (the digest scenarios
+  // clamp to credit on the driver; here we deliberately exceed the budget
+  // so the reject accounting itself is exercised). Modes: a single copy,
+  // and a factor-3 replica group whose quorum commit sits behind the
+  // budget check.
+  for (const std::uint32_t factor : {1u, 3u}) {
     SimClock clock;
     Broker broker(clock);
     exec::Executor ex(Cfg(1));
     TopicConfig tc;
     tc.partitions = 2;
     tc.max_records = 48;
+    tc.replication_factor = factor;
     ASSERT_TRUE(broker.CreateTopic("par.budget", tc).ok());
     const auto rep = ParallelProduce(ex, broker, "par.budget",
                                      SeededRecords(5, 80, clock), Duration::Micros(2));
-    produced[mode] = rep.produced;
-    rejected[mode] = rep.rejected;
-    rejects_counter[mode] = broker.backpressure_rejects();
-    EXPECT_EQ(rep.produced + rep.rejected, 80u);
+    EXPECT_EQ(rep.produced, 48u) << "factor=" << factor;
+    EXPECT_EQ(rep.rejected, 32u) << "factor=" << factor;
+    EXPECT_EQ(rep.unavailable, 0u) << "factor=" << factor;
+    EXPECT_EQ(broker.backpressure_rejects(), 32u) << "factor=" << factor;
+    auto topic = broker.GetTopic("par.budget");
+    ASSERT_TRUE(topic.ok());
+    EXPECT_EQ((*topic)->TotalRecords(), 48u) << "factor=" << factor;
   }
-  SetBatchingEnabled(false);
-  EXPECT_EQ(produced[0], produced[1]);
-  EXPECT_EQ(rejected[0], rejected[1]);
-  EXPECT_EQ(rejects_counter[0], rejects_counter[1]);
 }
 
-// Satellite regression: a batched fetch below the truncated log start
-// must return OutOfRange carrying the exact [log_start, end) range — the
-// same payload the per-record Fetch attaches — not a bare error.
+// Regression: a fetch below the truncated log start must return
+// OutOfRange carrying the exact [log_start, end) range — through both the
+// columnar FetchBatch and the row-materializing Fetch — not a bare error.
 TEST(StreamParallel, FetchBelowTruncatedStartCarriesRangeInBothModes) {
   SimClock clock;
   Broker broker(clock);
@@ -153,8 +156,8 @@ TEST(StreamParallel, FetchBelowTruncatedStartCarriesRangeInBothModes) {
   EXPECT_EQ(past.status().range_lo(), 10);
   EXPECT_EQ(past.status().range_hi(), 40);
 
-  // A fetch starting exactly at the new log start succeeds and is
-  // identical across modes.
+  // A fetch starting exactly at the new log start succeeds, and both
+  // shapes return the surviving rows.
   auto ok_batch = broker.FetchBatch("par.trunc", 0, 10, 1024);
   ASSERT_TRUE(ok_batch.ok());
   EXPECT_EQ(ok_batch->base_offset(), 10);
@@ -169,68 +172,65 @@ TEST(StreamParallel, FetchBelowTruncatedStartCarriesRangeInBothModes) {
 }
 
 TEST(StreamParallel, ParallelFetchAllStraddlesCompactedLog) {
-  // Duplicate keys + a tombstone, compacted, then fetched through both
-  // modes: identical surviving rows.
-  std::uint64_t digests[2] = {0, 0};
-  for (const int mode : {0, 1}) {
-    SetBatchingEnabled(mode == 1);
-    SimClock clock;
-    Broker broker(clock);
-    exec::Executor ex(Cfg(2));
-    TopicConfig tc;
-    tc.partitions = 1;
-    ASSERT_TRUE(broker.CreateTopic("par.compact", tc).ok());
-    for (int round = 0; round < 3; ++round) {
-      for (int k = 0; k < 6; ++k) {
-        (void)broker.ProduceToPartition(
-            "par.compact", 0,
-            Record::MakeText("key" + std::to_string(k),
-                             "r" + std::to_string(round), clock.Now()));
-      }
+  // Duplicate keys + a tombstone, compacted, then fetched: exactly the
+  // newest surviving row per key, densely renumbered.
+  SimClock clock;
+  Broker broker(clock);
+  exec::Executor ex(Cfg(2));
+  TopicConfig tc;
+  tc.partitions = 1;
+  ASSERT_TRUE(broker.CreateTopic("par.compact", tc).ok());
+  for (int round = 0; round < 3; ++round) {
+    for (int k = 0; k < 6; ++k) {
+      (void)broker.ProduceToPartition(
+          "par.compact", 0,
+          Record::MakeText("key" + std::to_string(k), "r" + std::to_string(round),
+                           clock.Now()));
     }
-    // Tombstone key5, then compact.
-    (void)broker.ProduceToPartition("par.compact", 0,
-                                    Record::Make("key5", {}, clock.Now()));
-    auto topic = broker.GetTopic("par.compact");
-    ASSERT_TRUE(topic.ok());
-    const std::size_t removed = (*topic)->partition(0).CompactKeepLatest();
-    EXPECT_GT(removed, 0u);
-    const auto fetched = ParallelFetchAll(ex, broker, "par.compact", 1024,
-                                          Duration::Micros(1));
-    ASSERT_EQ(fetched.size(), 1u);
-    EXPECT_EQ(fetched[0].size(), 5u);  // key5 tombstoned away
-    digests[mode] = FetchDigest(fetched);
   }
-  SetBatchingEnabled(false);
-  EXPECT_EQ(digests[0], digests[1]);
+  // Tombstone key5, then compact.
+  (void)broker.ProduceToPartition("par.compact", 0, Record::Make("key5", {}, clock.Now()));
+  auto topic = broker.GetTopic("par.compact");
+  ASSERT_TRUE(topic.ok());
+  const std::size_t removed = (*topic)->partition(0).CompactKeepLatest();
+  EXPECT_GT(removed, 0u);
+  const auto fetched = ParallelFetchAll(ex, broker, "par.compact", 1024,
+                                        Duration::Micros(1));
+  ASSERT_EQ(fetched.size(), 1u);
+  ASSERT_EQ(fetched[0].size(), 5u);  // key5 tombstoned away
+  for (std::size_t i = 0; i < fetched[0].size(); ++i) {
+    const StoredRecord& sr = fetched[0][i];
+    EXPECT_EQ(sr.partition, 0u);
+    EXPECT_EQ(sr.offset, (*topic)->partition(0).log_start_offset() + static_cast<Offset>(i));
+    EXPECT_EQ(sr.record.key, "key" + std::to_string(i));
+    EXPECT_EQ(sr.record.TextPayload(), "r2");
+  }
 }
 
 TEST(StreamParallel, ConsumerAutoResetAfterTruncationInBatchMode) {
-  for (const bool batched : {false, true}) {
-    SetBatchingEnabled(batched);
-    SimClock clock;
-    Broker broker(clock);
-    TopicConfig tc;
-    tc.partitions = 1;
-    ASSERT_TRUE(broker.CreateTopic("par.reset", tc).ok());
-    ConsumerGroup group(broker, "g", "par.reset", ResetPolicy::kEarliest);
-    auto consumer = group.Join("c0");
-    ASSERT_TRUE(consumer.ok());
-    for (std::size_t i = 0; i < 10; ++i) {
-      (void)broker.ProduceToPartition(
-          "par.reset", 0, Record::MakeText("k", "a" + std::to_string(i), clock.Now()));
-    }
-    EXPECT_EQ((*consumer)->Poll(4).size(), 4u);  // position now 4
-    // Truncation races ahead of the consumer: offsets [0, 8) are gone.
-    ASSERT_TRUE(broker.TruncateBefore("par.reset", 0, 8).ok());
-    const auto rows = (*consumer)->Poll(100);
-    EXPECT_EQ(group.auto_reset_count(), 1u) << "batched=" << batched;
-    ASSERT_EQ(rows.size(), 2u) << "batched=" << batched;
-    EXPECT_EQ(rows[0].offset, 8);
-    EXPECT_EQ(rows[0].record.TextPayload(), "a8");
-    EXPECT_EQ(rows[1].offset, 9);
+  // Poll materializes the columnar PollBatches: the auto-reset works off
+  // the structured range FetchBatch returns.
+  SimClock clock;
+  Broker broker(clock);
+  TopicConfig tc;
+  tc.partitions = 1;
+  ASSERT_TRUE(broker.CreateTopic("par.reset", tc).ok());
+  ConsumerGroup group(broker, "g", "par.reset", ResetPolicy::kEarliest);
+  auto consumer = group.Join("c0");
+  ASSERT_TRUE(consumer.ok());
+  for (std::size_t i = 0; i < 10; ++i) {
+    (void)broker.ProduceToPartition(
+        "par.reset", 0, Record::MakeText("k", "a" + std::to_string(i), clock.Now()));
   }
-  SetBatchingEnabled(false);
+  EXPECT_EQ((*consumer)->Poll(4).size(), 4u);  // position now 4
+  // Truncation races ahead of the consumer: offsets [0, 8) are gone.
+  ASSERT_TRUE(broker.TruncateBefore("par.reset", 0, 8).ok());
+  const auto rows = (*consumer)->Poll(100);
+  EXPECT_EQ(group.auto_reset_count(), 1u);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].offset, 8);
+  EXPECT_EQ(rows[0].record.TextPayload(), "a8");
+  EXPECT_EQ(rows[1].offset, 9);
 }
 
 }  // namespace
