@@ -1,11 +1,13 @@
-// Differential harness for the columnar batch hot path (ISSUE 6
-// tentpole): ARBD_BATCH must be a pure optimization. Every
-// determinism-sensitive observable — committed-log digests, pipeline
-// checkpoint bytes, broker offsets and counters, scenario digests — is
-// bit-identical with the batch path on and off, across worker counts
-// {1, 4}, five seeds, and replication factors {1, 3}. Each TEST runs in
-// its own ctest process (gtest_discover_tests), so setenv cannot leak
-// into sibling tests; SetBatchingEnabled flips the mode in-process.
+// Determinism of the columnar batch path. Reads have one code path
+// (Partition::FetchBatch -> Broker::FetchBatch -> Consumer::PollBatches)
+// in two forms: the columns themselves, and rows materialized from them
+// by Fetch/Poll. Platform ingest polls batches and drains them in two
+// forms: Offer/DrainPending at one worker, ProcessBatchParallel above.
+// Every determinism-sensitive observable — consumed rows, committed-log
+// digests, broker counters, scenario digests, failover audits — must be
+// the same whichever form carries it, across five seeds and replication
+// factors {1, 3}. Each TEST runs in its own ctest process
+// (gtest_discover_tests), so setenv cannot leak into sibling tests.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -34,22 +36,25 @@ exec::ExecConfig Cfg(std::size_t workers) {
   return cfg;
 }
 
-// Runs `fn` with the batch path forced off, then on; returns {off, on}.
-template <typename Fn>
-std::pair<std::uint64_t, std::uint64_t> OffOn(Fn&& fn) {
-  stream::SetBatchingEnabled(false);
-  const std::uint64_t off = fn();
-  stream::SetBatchingEnabled(true);
-  const std::uint64_t on = fn();
-  stream::SetBatchingEnabled(false);
-  return {off, on};
+enum class ReadForm { kRows, kColumns };
+
+void WriteRow(BinaryWriter& w, std::uint64_t key_hash, stream::Offset offset,
+              stream::PartitionId partition, std::uint64_t payload_hash,
+              std::int64_t event_ns, std::uint64_t checksum) {
+  w.WriteU64(key_hash);
+  w.WriteI64(offset);
+  w.WriteU32(partition);
+  w.WriteU64(payload_hash);
+  w.WriteI64(event_ns);
+  w.WriteU64(checksum);
 }
 
-// Broker-level workload: seeded keyed records through ParallelProduce and
-// ParallelFetchAll against a budgeted topic with mid-run truncation. The
-// digest folds produce reports, every consumed row (key, offset,
-// partition), the committed-log digest, and the broker counters.
-std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers) {
+// Broker-level workload: seeded keyed records through ParallelProduce
+// against a budgeted topic, each round read back whole (as materialized
+// rows via ParallelFetchAll, or as columns via Broker::FetchBatch) and
+// truncated. The digest folds produce reports, every consumed row, the
+// committed-log digest, and the broker counters.
+std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers, ReadForm form) {
   SimClock clock;
   stream::Broker broker(clock);
   exec::Executor ex(Cfg(workers));
@@ -80,18 +85,44 @@ std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers) {
     w.WriteU64(rep.rejected);
     for (const std::size_t c : rep.per_partition) w.WriteU64(c);
 
-    const auto fetched =
-        stream::ParallelFetchAll(ex, broker, "batch.diff", 512, Duration::Micros(1));
-    for (std::size_t p = 0; p < fetched.size(); ++p) {
-      for (const auto& sr : fetched[p]) {
-        w.WriteU64(Fnv1a(sr.record.key));
-        w.WriteI64(sr.offset);
-        w.WriteU32(sr.partition);
+    // Next offset to keep per partition; -1 = nothing consumed.
+    std::vector<stream::Offset> consumed_to(tc.partitions, -1);
+    if (form == ReadForm::kRows) {
+      const auto fetched =
+          stream::ParallelFetchAll(ex, broker, "batch.diff", 512, Duration::Micros(1));
+      EXPECT_EQ(fetched.size(), tc.partitions);
+      for (std::size_t p = 0; p < fetched.size(); ++p) {
+        for (const auto& sr : fetched[p]) {
+          WriteRow(w, Fnv1a(sr.record.key), sr.offset, sr.partition,
+                   Fnv1a(sr.record.payload), sr.record.event_time.nanos(),
+                   sr.record.checksum);
+        }
+        if (!fetched[p].empty()) consumed_to[p] = fetched[p].back().offset + 1;
       }
-      if (!fetched[p].empty()) {
-        (void)broker.TruncateBefore("batch.diff", static_cast<stream::PartitionId>(p),
-                                    fetched[p].back().offset + 1);
+    } else {
+      auto topic = broker.GetTopic("batch.diff");
+      EXPECT_TRUE(topic.ok());
+      if (!topic.ok()) return 0;
+      for (stream::PartitionId p = 0; p < tc.partitions; ++p) {
+        const stream::Offset from = (*topic)->partition(p).log_start_offset();
+        auto batch = broker.FetchBatch("batch.diff", p, from, 512);
+        EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+        if (!batch.ok()) continue;
+        EXPECT_EQ(batch->partition(), p);
+        for (std::size_t i = 0; i < batch->size(); ++i) {
+          const std::string_view key = batch->key(i);
+          WriteRow(w, Fnv1a(key.data(), key.size()),
+                   batch->base_offset() + static_cast<stream::Offset>(i), batch->partition(),
+                   Fnv1a(batch->payload_data(i), batch->payload_size(i)),
+                   batch->event_ns_data()[i], batch->checksum(i));
+        }
+        if (!batch->empty()) {
+          consumed_to[p] = batch->base_offset() + static_cast<stream::Offset>(batch->size());
+        }
       }
+    }
+    for (stream::PartitionId p = 0; p < tc.partitions; ++p) {
+      if (consumed_to[p] >= 0) (void)broker.TruncateBefore("batch.diff", p, consumed_to[p]);
     }
     clock.Advance(Duration::Millis(5));
   }
@@ -104,12 +135,16 @@ std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers) {
   return Fnv1a(w.bytes());
 }
 
+// Rows and columns digest the same at every worker count, and the digest
+// does not depend on the worker count.
 void ExpectBrokerParity() {
-  for (const std::size_t workers : {1u, 4u}) {
-    for (const std::uint64_t seed : kSeeds) {
-      const auto [off, on] =
-          OffOn([&] { return BrokerWorkloadDigest(seed, workers); });
-      EXPECT_EQ(off, on) << "workers=" << workers << " seed=" << seed;
+  for (const std::uint64_t seed : kSeeds) {
+    const std::uint64_t reference = BrokerWorkloadDigest(seed, 1, ReadForm::kRows);
+    for (const std::size_t workers : {1u, 4u}) {
+      EXPECT_EQ(BrokerWorkloadDigest(seed, workers, ReadForm::kRows), reference)
+          << "rows workers=" << workers << " seed=" << seed;
+      EXPECT_EQ(BrokerWorkloadDigest(seed, workers, ReadForm::kColumns), reference)
+          << "columns workers=" << workers << " seed=" << seed;
     }
   }
 }
@@ -126,53 +161,43 @@ TEST(BatchDeterminism, BrokerWorkloadDigestFactorThree) {
   unsetenv("ARBD_REPLICAS");
 }
 
-void ExpectTourismParity() {
-  for (const std::size_t workers : {1u, 4u}) {
-    for (const std::uint64_t seed : kSeeds) {
-      const auto [off, on] =
-          OffOn([&] { return scenarios::TourismDigest(seed, Cfg(workers)); });
-      EXPECT_EQ(off, on) << "workers=" << workers << " seed=" << seed;
-    }
+// Platform ingest: the serial drain (workers=1) and the parallel drain
+// (workers=4) of the same polled batches give the same scenario digest.
+template <typename DigestFn>
+void ExpectDrainParity(DigestFn&& digest) {
+  for (const std::uint64_t seed : kSeeds) {
+    EXPECT_EQ(digest(seed, Cfg(1)), digest(seed, Cfg(4))) << "seed=" << seed;
   }
 }
 
 TEST(BatchDeterminism, TourismDigestFactorOne) {
   setenv("ARBD_REPLICAS", "1", 1);
-  ExpectTourismParity();
+  ExpectDrainParity(scenarios::TourismDigest);
   unsetenv("ARBD_REPLICAS");
 }
 
 TEST(BatchDeterminism, TourismDigestFactorThree) {
   setenv("ARBD_REPLICAS", "3", 1);
-  ExpectTourismParity();
+  ExpectDrainParity(scenarios::TourismDigest);
   unsetenv("ARBD_REPLICAS");
-}
-
-void ExpectOverloadParity() {
-  for (const std::size_t workers : {1u, 4u}) {
-    for (const std::uint64_t seed : kSeeds) {
-      const auto [off, on] =
-          OffOn([&] { return scenarios::OverloadDigest(seed, Cfg(workers)); });
-      EXPECT_EQ(off, on) << "workers=" << workers << " seed=" << seed;
-    }
-  }
 }
 
 TEST(BatchDeterminism, OverloadDigestFactorOne) {
   setenv("ARBD_REPLICAS", "1", 1);
-  ExpectOverloadParity();
+  ExpectDrainParity(scenarios::OverloadDigest);
   unsetenv("ARBD_REPLICAS");
 }
 
 TEST(BatchDeterminism, OverloadDigestFactorThree) {
   setenv("ARBD_REPLICAS", "3", 1);
-  ExpectOverloadParity();
+  ExpectDrainParity(scenarios::OverloadDigest);
   unsetenv("ARBD_REPLICAS");
 }
 
-// Failover soak under injected crashes and torn writes: the batch flag
-// must not move the committed digest, the exactly-once audit, or the
-// final window table. Factor comes from the config, not the env.
+// Failover soak under injected crashes and torn writes: the size of the
+// batch the job polls per pump must not move the committed digest, the
+// exactly-once audit, or the final window table. Factor comes from the
+// config, not the env.
 TEST(BatchDeterminism, FailoverSoakBitIdenticalAcrossModes) {
   for (const std::uint32_t factor : {1u, 3u}) {
     for (const std::uint64_t fault_seed : {3ull, 5ull}) {
@@ -185,25 +210,24 @@ TEST(BatchDeterminism, FailoverSoakBitIdenticalAcrossModes) {
         cfg.fault_spec = "nodecrash@p=0.01,x=10;torn@p=0.01";
         cfg.kill_p = 0.04;
       }
-      stream::SetBatchingEnabled(false);
-      auto off = scenarios::RunFailoverSoak(cfg);
-      stream::SetBatchingEnabled(true);
-      auto on = scenarios::RunFailoverSoak(cfg);
-      stream::SetBatchingEnabled(false);
-      ASSERT_TRUE(off.ok()) << off.status().ToString();
-      ASSERT_TRUE(on.ok()) << on.status().ToString();
-      ASSERT_FALSE(off->wedged);
-      ASSERT_FALSE(on->wedged);
-      EXPECT_EQ(off->committed_digest, on->committed_digest)
+      cfg.batch = 32;
+      auto wide = scenarios::RunFailoverSoak(cfg);
+      cfg.batch = 5;
+      auto narrow = scenarios::RunFailoverSoak(cfg);
+      ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+      ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+      ASSERT_FALSE(wide->wedged);
+      ASSERT_FALSE(narrow->wedged);
+      EXPECT_EQ(wide->committed_digest, narrow->committed_digest)
           << "factor=" << factor << " fs=" << fault_seed;
-      EXPECT_EQ(off->results, on->results) << "factor=" << factor << " fs=" << fault_seed;
-      EXPECT_EQ(off->acked, on->acked);
-      EXPECT_EQ(off->committed_loss, 0u);
-      EXPECT_EQ(on->committed_loss, 0u);
-      EXPECT_EQ(off->log_duplicates, 0u);
-      EXPECT_EQ(on->log_duplicates, 0u);
-      EXPECT_EQ(off->output_duplicates, 0u);
-      EXPECT_EQ(on->output_duplicates, 0u);
+      EXPECT_EQ(wide->results, narrow->results) << "factor=" << factor << " fs=" << fault_seed;
+      EXPECT_EQ(wide->acked, narrow->acked);
+      EXPECT_EQ(wide->committed_loss, 0u);
+      EXPECT_EQ(narrow->committed_loss, 0u);
+      EXPECT_EQ(wide->log_duplicates, 0u);
+      EXPECT_EQ(narrow->log_duplicates, 0u);
+      EXPECT_EQ(wide->output_duplicates, 0u);
+      EXPECT_EQ(narrow->output_duplicates, 0u);
     }
   }
 }

@@ -91,6 +91,12 @@ TEST(BrokerConcurrency, BudgetedProducersRacingConsumerAccountExactly) {
   std::atomic<std::size_t> consumed{0};
 
   std::thread consumer([&] {
+    // Hold off until the budget has pushed back at least once (or the
+    // producers are done): a consumer scheduled early enough could
+    // otherwise keep the topic below its budget for the whole run, and
+    // the rejection path would go unexercised. Producers never block, so
+    // this cannot deadlock.
+    while (rejected.load() == 0 && !done.load()) std::this_thread::yield();
     // Drain partitions round-robin, returning budget via truncation. Only
     // exit after a sweep that found nothing AND started after the
     // producers were already done — a sweep begun earlier can miss

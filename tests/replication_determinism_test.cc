@@ -3,9 +3,7 @@
 // logs, high-watermark histories, replication stats, recovery stats, and
 // the committed-log digest; (b) the committed digest is invariant across
 // crash schedules and replication factors — crashes cost retries and
-// elections, never content, and a budgeted broker workload driven through
-// ParallelProduce/ParallelFetchAll digests the same at every worker count
-// and factor; (c) replication is inert at factor 1: the
+// elections, never content; (c) replication is inert at factor 1: the
 // Tourism and Overload scenario digests are byte-identical with
 // ARBD_REPLICAS unset, "1", and (since their workloads never hit an
 // unavailable replica) "3". setenv here is safe: gtest_discover_tests
@@ -13,17 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <string>
-#include <vector>
 
-#include "common/rng.h"
-#include "common/serialize.h"
 #include "exec/executor.h"
 #include "scenarios/digest.h"
 #include "scenarios/failover.h"
-#include "stream/log.h"
-#include "stream/parallel.h"
-#include "stream/replication.h"
 
 namespace arbd {
 namespace {
@@ -94,79 +85,6 @@ TEST(ReplicationDeterminism, CommittedDigestInvariantAcrossSchedulesAndFactors) 
   }
 }
 
-// Broker-level workload: seeded keyed records through ParallelProduce and
-// ParallelFetchAll against a budgeted topic with mid-run truncation. The
-// digest folds produce reports, every consumed row (key, offset,
-// partition), the committed-log digest, and the broker counters.
-std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers,
-                                   std::uint32_t factor) {
-  SimClock clock;
-  stream::Broker broker(clock);
-  exec::Executor ex(Cfg(workers));
-  stream::TopicConfig tc;
-  tc.partitions = 4;
-  tc.max_records = 128;
-  tc.replication_factor = factor;
-  EXPECT_TRUE(broker.CreateTopic("repl.broker", tc).ok());
-
-  Rng rng(seed ^ 0xbadc0deULL);
-  BinaryWriter w;
-  w.WriteU64(seed);
-  for (int round = 0; round < 6; ++round) {
-    const std::size_t want = 20 + static_cast<std::size_t>(rng.NextU64() % 80);
-    std::vector<stream::Record> recs;
-    recs.reserve(want);
-    for (std::size_t i = 0; i < want; ++i) {
-      const std::string key = "k" + std::to_string(rng.NextU64() % 16);
-      Bytes payload(8 + (rng.NextU64() % 40), static_cast<std::uint8_t>(round));
-      recs.push_back(stream::Record::Make(key, std::move(payload), clock.Now()));
-    }
-    // Credit clamp on the driver so admission is deterministic (same
-    // discipline as OverloadDigest).
-    const std::size_t credit = broker.Credit("repl.broker");
-    if (recs.size() > credit) recs.resize(credit);
-    const auto rep = stream::ParallelProduce(ex, broker, "repl.broker", std::move(recs),
-                                             Duration::Micros(2));
-    w.WriteU64(rep.produced);
-    w.WriteU64(rep.rejected);
-    for (const std::size_t c : rep.per_partition) w.WriteU64(c);
-
-    const auto fetched =
-        stream::ParallelFetchAll(ex, broker, "repl.broker", 512, Duration::Micros(1));
-    for (std::size_t p = 0; p < fetched.size(); ++p) {
-      for (const auto& sr : fetched[p]) {
-        w.WriteU64(Fnv1a(sr.record.key));
-        w.WriteI64(sr.offset);
-        w.WriteU32(sr.partition);
-      }
-      if (!fetched[p].empty()) {
-        (void)broker.TruncateBefore("repl.broker", static_cast<stream::PartitionId>(p),
-                                    fetched[p].back().offset + 1);
-      }
-    }
-    clock.Advance(Duration::Millis(5));
-  }
-
-  auto topic = broker.GetTopic("repl.broker");
-  EXPECT_TRUE(topic.ok());
-  if (topic.ok()) w.WriteU64(stream::CommittedTopicDigest(**topic));
-  w.WriteU64(broker.total_produced());
-  w.WriteU64(broker.backpressure_rejects());
-  return Fnv1a(w.bytes());
-}
-
-TEST(ReplicationDeterminism, BrokerWorkloadDigestInvariantAcrossWorkersAndFactors) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const std::uint64_t reference = BrokerWorkloadDigest(seed, 1, 1);
-    for (const std::size_t workers : {1u, 4u}) {
-      for (const std::uint32_t factor : {1u, 3u}) {
-        EXPECT_EQ(BrokerWorkloadDigest(seed, workers, factor), reference)
-            << "seed=" << seed << " workers=" << workers << " factor=" << factor;
-      }
-    }
-  }
-}
-
 // --- Inertness gates: pre-replication scenario digests are untouched. ---
 //
 // Each TEST below runs in its own process (gtest_discover_tests), so the
@@ -183,12 +101,10 @@ TEST(ReplicationDeterminism, TourismDigestInertAtFactorOne) {
 TEST(ReplicationDeterminism, TourismDigestUnchangedAtFactorThree) {
   // No fault plan and no kills: every quorum append succeeds, so the
   // replicated path must commit the exact same log as the single copy.
-  for (const std::size_t workers : {1u, 4u}) {
-    unsetenv("ARBD_REPLICAS");
-    const std::uint64_t unset = scenarios::TourismDigest(11, Cfg(workers));
-    setenv("ARBD_REPLICAS", "3", 1);
-    EXPECT_EQ(scenarios::TourismDigest(11, Cfg(workers)), unset) << "workers=" << workers;
-  }
+  unsetenv("ARBD_REPLICAS");
+  const std::uint64_t unset = scenarios::TourismDigest(11, Cfg(4));
+  setenv("ARBD_REPLICAS", "3", 1);
+  EXPECT_EQ(scenarios::TourismDigest(11, Cfg(4)), unset);
   unsetenv("ARBD_REPLICAS");
 }
 
@@ -201,12 +117,10 @@ TEST(ReplicationDeterminism, OverloadDigestInertAtFactorOne) {
 }
 
 TEST(ReplicationDeterminism, OverloadDigestUnchangedAtFactorThree) {
-  for (const std::size_t workers : {1u, 4u}) {
-    unsetenv("ARBD_REPLICAS");
-    const std::uint64_t unset = scenarios::OverloadDigest(17, Cfg(workers));
-    setenv("ARBD_REPLICAS", "3", 1);
-    EXPECT_EQ(scenarios::OverloadDigest(17, Cfg(workers)), unset) << "workers=" << workers;
-  }
+  unsetenv("ARBD_REPLICAS");
+  const std::uint64_t unset = scenarios::OverloadDigest(17, Cfg(4));
+  setenv("ARBD_REPLICAS", "3", 1);
+  EXPECT_EQ(scenarios::OverloadDigest(17, Cfg(4)), unset);
   unsetenv("ARBD_REPLICAS");
 }
 
