@@ -120,11 +120,13 @@ void WindowAggregateStage::AssignSession(const Event& e) {
   acc.Add(e.value);
 
   // Merge with every existing session window for this (key, attribute)
-  // that overlaps the new [start, end) interval.
-  for (auto it = windows_.begin(); it != windows_.end();) {
+  // that overlaps the new [start, end) interval. Those windows form one
+  // contiguous run of the map, visited in map order.
+  constexpr std::int64_t kLowest = std::numeric_limits<std::int64_t>::min();
+  for (auto it = windows_.lower_bound(WindowKey{e.key, e.attribute, kLowest, kLowest});
+       it != windows_.end() && it->first.key == e.key && it->first.attribute == e.attribute;) {
     const WindowKey& wk = it->first;
-    if (wk.key == e.key && wk.attribute == e.attribute && wk.start_ns <= end &&
-        start <= wk.end_ns) {
+    if (wk.start_ns <= end && start <= wk.end_ns) {
       start = std::min(start, wk.start_ns);
       end = std::max(end, wk.end_ns);
       acc.sum += it->second.sum;
@@ -136,7 +138,12 @@ void WindowAggregateStage::AssignSession(const Event& e) {
       ++it;
     }
   }
-  windows_[WindowKey{e.key, e.attribute, start, end}] = acc;
+  OpenWindow(WindowKey{e.key, e.attribute, start, end}) = acc;
+}
+
+WindowAggregateStage::Accum& WindowAggregateStage::OpenWindow(WindowKey wk) {
+  next_fire_ns_ = std::min(next_fire_ns_, wk.end_ns);
+  return windows_[std::move(wk)];
 }
 
 void WindowAggregateStage::Process(const Event& event, StageContext& ctx) {
@@ -164,7 +171,7 @@ void WindowAggregateStage::Process(const Event& event, StageContext& ctx) {
       memo_.slot->Add(event.value);
       return;
     }
-    Accum& acc = windows_[WindowKey{event.key, event.attribute, start, start + size}];
+    Accum& acc = OpenWindow(WindowKey{event.key, event.attribute, start, start + size});
     acc.Add(event.value);
     memo_.slot = &acc;
     memo_.key = event.key;
@@ -173,14 +180,19 @@ void WindowAggregateStage::Process(const Event& event, StageContext& ctx) {
     return;
   }
   for (const auto& [ws, we] : WindowsFor(event.event_time)) {
-    windows_[WindowKey{event.key, event.attribute, ws.nanos(), we.nanos()}].Add(event.value);
+    OpenWindow(WindowKey{event.key, event.attribute, ws.nanos(), we.nanos()}).Add(event.value);
   }
 }
 
 void WindowAggregateStage::OnWatermark(TimePoint wm, StageContext& ctx) {
-  // Firing erases map entries; the memo may point at one of them.
-  memo_.slot = nullptr;
   last_watermark_ = std::max(last_watermark_, wm);
+  // Nothing is due before the earliest window end. The empty sentinel is
+  // tested before the lateness is added so the sum cannot overflow.
+  if (next_fire_ns_ == kNoWindow ||
+      TimePoint::FromNanos(next_fire_ns_) + lateness_ > wm) {
+    return;
+  }
+  next_fire_ns_ = kNoWindow;
   for (auto it = windows_.begin(); it != windows_.end();) {
     const WindowKey& wk = it->first;
     // Session windows end `gap` after the last event; the stored end is the
@@ -193,9 +205,12 @@ void WindowAggregateStage::OnWatermark(TimePoint wm, StageContext& ctx) {
       r.window_end = TimePoint::FromNanos(wk.end_ns);
       r.value = it->second.Result(agg_);
       r.count = it->second.count;
+      // The memo may point at the entry being erased.
+      memo_.slot = nullptr;
       it = windows_.erase(it);
       ctx.EmitResult(std::move(r));
     } else {
+      next_fire_ns_ = std::min(next_fire_ns_, wk.end_ns);
       ++it;
     }
   }
@@ -220,6 +235,7 @@ void WindowAggregateStage::SaveState(BinaryWriter& w) const {
 Status WindowAggregateStage::LoadState(BinaryReader& r) {
   memo_.slot = nullptr;
   windows_.clear();
+  next_fire_ns_ = kNoWindow;
   auto late = r.ReadU64();
   if (!late.ok()) return late.status();
   late_dropped_ = *late;
@@ -255,7 +271,7 @@ Status WindowAggregateStage::LoadState(BinaryReader& r) {
     auto c = r.ReadU64();
     if (!c.ok()) return c.status();
     acc.count = *c;
-    windows_[std::move(wk)] = acc;
+    OpenWindow(std::move(wk)) = acc;
   }
   return Status::Ok();
 }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -119,14 +120,14 @@ class WindowAggregateStage final : public Stage {
     double Result(AggKind k) const;
   };
 
-  // Hot-path memo for tumbling windows: batched ingest delivers long runs
-  // of events hitting the same (key, attribute, window), so the last
-  // resolved accumulator is cached and re-validated with one key compare
-  // instead of a map lookup per event. Pure lookup memoization — the adds
-  // hit the same accumulator in the same order, so results (including
-  // float bit patterns) are identical with the memo hit or miss.
-  // std::map pointers are stable under insert; OnWatermark/LoadState erase
-  // entries and must invalidate the memo.
+  // Hot-path memo for tumbling windows: consecutive events often hit the
+  // same (key, attribute, window) — a sensor's samples arrive in runs —
+  // so the last resolved accumulator is cached and re-validated with one
+  // key compare instead of a map lookup per event. Pure lookup
+  // memoization — the adds hit the same accumulator in the same order, so
+  // results (including float bit patterns) are identical with the memo hit
+  // or miss. std::map pointers are stable under insert; OnWatermark/
+  // LoadState erase entries and must invalidate the memo.
   struct Memo {
     Accum* slot = nullptr;  // null = invalid
     std::string key;
@@ -143,11 +144,22 @@ class WindowAggregateStage final : public Stage {
 
   std::vector<std::pair<TimePoint, TimePoint>> WindowsFor(TimePoint t) const;
   void AssignSession(const Event& e);
+  // Accumulator for a window, created if absent; lowers next_fire_ns_.
+  Accum& OpenWindow(WindowKey wk);
 
   WindowSpec spec_;
   AggKind agg_;
   Duration lateness_;
   std::map<WindowKey, Accum> windows_;
+  // Lower bound on the smallest end_ns in windows_ (kNoWindow when there
+  // is none): OnWatermark walks the map only once that window can fire,
+  // so a watermark advance with nothing due costs O(1), not O(open
+  // windows). Invariant: never above the true minimum. Creating a window
+  // lowers it; a firing walk resets it to the survivors' minimum. Erasing
+  // without a walk (a session merge) may leave it low, and a stale low
+  // value only costs one walk that fires nothing and tightens it.
+  static constexpr std::int64_t kNoWindow = std::numeric_limits<std::int64_t>::max();
+  std::int64_t next_fire_ns_ = kNoWindow;
   Memo memo_;
   TimePoint last_watermark_ = TimePoint::Min();
   std::uint64_t late_dropped_ = 0;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -188,6 +192,35 @@ TEST(SessionWindow, OverlappingSessionsMerge) {
   EXPECT_DOUBLE_EQ(results[0].value, 3.0);
 }
 
+TEST(SessionWindow, BridgeMergesOnlyItsOwnKey) {
+  // Key "b"'s sessions sit between "a" and "c" in map order. An event
+  // bridging a's two sessions must merge exactly those two, folding them
+  // into the new event's accumulator in map order: (0.7 + 0.1) + 0.2.
+  Pipeline p(Duration::Seconds(10));
+  std::vector<WindowResult> results;
+  p.WindowAggregate(WindowSpec::Session(Duration::Seconds(2)), AggKind::kSum)
+      .Sink([&](const WindowResult& r) { results.push_back(r); });
+  p.Push(Ev("a", 0.1, 0));
+  p.Push(Ev("a", 0.2, 3000));
+  p.Push(Ev("b", 1.0, 500));
+  p.Push(Ev("b", 2.0, 6000));
+  p.Push(Ev("c", 4.0, 1000));
+  p.Push(Ev("a", 0.7, 1500));  // bridges [0, 2000) and [3000, 5000)
+  p.Flush();
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(results[0].key, "a");
+  EXPECT_EQ(results[0].window_start.millis(), 0);
+  EXPECT_EQ(results[0].window_end.millis(), 5000);
+  EXPECT_EQ(results[0].count, 3u);
+  EXPECT_EQ(results[0].value, (0.7 + 0.1) + 0.2);
+  EXPECT_EQ(results[1].key, "b");
+  EXPECT_EQ(results[1].window_start.millis(), 500);
+  EXPECT_EQ(results[2].key, "b");
+  EXPECT_EQ(results[2].window_start.millis(), 6000);
+  EXPECT_EQ(results[3].key, "c");
+  EXPECT_DOUBLE_EQ(results[3].value, 4.0);
+}
+
 TEST(PipelineStages, MapFilterChain) {
   Pipeline p;
   std::vector<WindowResult> results;
@@ -255,6 +288,35 @@ TEST(PipelineCheckpoint, RoundTripPreservesWindows) {
   ASSERT_EQ(results_b.size(), 1u);
   EXPECT_DOUBLE_EQ(results_b[0].value, 5.0) << "restored window must contain both pre-checkpoint events";
   EXPECT_EQ(results_b[0].count, 2u);
+}
+
+TEST(PipelineCheckpoint, RestoredWindowsFireOnNextWatermark) {
+  // The restored windows all end at 1000 ms. The event that moves the
+  // watermark to 1000 ms opens a later window of its own, so the restored
+  // ones fire only if restoring re-derived the stage's earliest fire time.
+  auto build = [](std::vector<WindowResult>* out) {
+    auto p = std::make_unique<Pipeline>();
+    p->WindowAggregate(WindowSpec::Tumbling(Duration::Seconds(1)), AggKind::kSum)
+        .Sink([out](const WindowResult& r) { out->push_back(r); });
+    return p;
+  };
+  std::vector<WindowResult> results_a, results_b;
+  auto a = build(&results_a);
+  a->Push(Ev("x", 1.0, 100));
+  a->Push(Ev("y", 2.0, 400));
+  a->Push(Ev("z", 3.0, 900));
+  ASSERT_TRUE(results_a.empty());
+  const Bytes snapshot = a->Checkpoint();
+
+  auto b = build(&results_b);
+  ASSERT_TRUE(b->Restore(snapshot).ok());
+  b->Push(Ev("w", 9.0, 1000));
+  ASSERT_EQ(results_b.size(), 3u);
+  EXPECT_EQ(results_b[0].key, "x");
+  EXPECT_EQ(results_b[1].key, "y");
+  EXPECT_EQ(results_b[2].key, "z");
+  for (const auto& r : results_b) EXPECT_EQ(r.window_end.millis(), 1000);
+  EXPECT_DOUBLE_EQ(results_b[2].value, 3.0);
 }
 
 TEST(PipelineCheckpoint, StageCountMismatchRejected) {
@@ -410,6 +472,188 @@ TEST(PipelineInboxOrdering, UnbudgetedPushStaysInline) {
   EXPECT_EQ(p.pending(), 0u);
   ASSERT_EQ(seen.size(), 1u);
 }
+
+// --- reference model ---------------------------------------------------------
+// A brute-force WindowAggregateStage: every watermark walks every open
+// window, every session event scans every window. The pipeline must emit
+// the same WindowResult sequence, with bit-identical values, and drop the
+// same late events.
+
+struct ModelWindows {
+  struct Acc {
+    double sum = 0.0, min = 0.0, max = 0.0;
+    std::uint64_t count = 0;
+  };
+  using Key = std::tuple<std::string, std::string, std::int64_t, std::int64_t>;
+
+  ModelWindows(WindowSpec s, AggKind a, Duration lateness)
+      : spec(s), agg(a), lateness_ns(lateness.nanos()) {}
+
+  WindowSpec spec;
+  AggKind agg;
+  std::int64_t lateness_ns;
+  std::int64_t last_wm = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t late_dropped = 0;
+  std::map<Key, Acc> windows;
+  std::vector<WindowResult> out;
+
+  static void Add(Acc& a, double v) {
+    a.min = a.count == 0 ? v : std::min(a.min, v);
+    a.max = a.count == 0 ? v : std::max(a.max, v);
+    a.sum += v;
+    ++a.count;
+  }
+
+  void Process(const Event& e) {
+    const std::int64_t t = e.event_time.nanos();
+    if (last_wm != std::numeric_limits<std::int64_t>::min() && t < last_wm - lateness_ns) {
+      ++late_dropped;
+      return;
+    }
+    if (spec.kind == WindowSpec::Kind::kSession) {
+      std::int64_t start = t;
+      std::int64_t end = t + spec.gap.nanos();
+      Acc acc;
+      Add(acc, e.value);
+      for (auto it = windows.begin(); it != windows.end();) {
+        const auto& [k, a, ws, we] = it->first;
+        if (k == e.key && a == e.attribute && ws <= end && start <= we) {
+          start = std::min(start, ws);
+          end = std::max(end, we);
+          acc.sum += it->second.sum;
+          acc.min = std::min(acc.min, it->second.min);
+          acc.max = std::max(acc.max, it->second.max);
+          acc.count += it->second.count;
+          it = windows.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      windows[Key{e.key, e.attribute, start, end}] = acc;
+      return;
+    }
+    // Tumbling is sliding with slide == size; event times here are >= 0.
+    const std::int64_t size = spec.size.nanos();
+    const std::int64_t slide =
+        spec.kind == WindowSpec::Kind::kTumbling ? size : spec.slide.nanos();
+    for (std::int64_t s = t / slide * slide; s > t - size; s -= slide) {
+      Add(windows[Key{e.key, e.attribute, s, s + size}], e.value);
+    }
+  }
+
+  void Watermark(std::int64_t wm) {
+    last_wm = std::max(last_wm, wm);
+    for (auto it = windows.begin(); it != windows.end();) {
+      const auto& [k, a, ws, we] = it->first;
+      if (we + lateness_ns <= wm) {
+        const Acc& acc = it->second;
+        WindowResult r;
+        r.key = k;
+        r.attribute = a;
+        r.window_start = TimePoint::FromNanos(ws);
+        r.window_end = TimePoint::FromNanos(we);
+        switch (agg) {
+          case AggKind::kCount: r.value = static_cast<double>(acc.count); break;
+          case AggKind::kSum: r.value = acc.sum; break;
+          case AggKind::kMean: r.value = acc.sum / static_cast<double>(acc.count); break;
+          case AggKind::kMin: r.value = acc.min; break;
+          case AggKind::kMax: r.value = acc.max; break;
+        }
+        r.count = acc.count;
+        out.push_back(std::move(r));
+        it = windows.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+};
+
+struct ModelCase {
+  const char* name;
+  WindowSpec spec;
+  AggKind agg;
+  Duration lateness;
+};
+
+// Names the case in test listings (the default prints raw bytes).
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
+
+class WindowReferenceModel : public ::testing::TestWithParam<ModelCase> {};
+
+TEST_P(WindowReferenceModel, MatchesBruteForce) {
+  const ModelCase& c = GetParam();
+  const Duration ooo = Duration::Millis(200);
+  Pipeline p(ooo);
+  std::vector<WindowResult> got;
+  p.WindowAggregate(c.spec, c.agg, c.lateness)
+      .Sink([&](const WindowResult& r) { got.push_back(r); });
+  ModelWindows model(c.spec, c.agg, c.lateness);
+
+  // Out-of-order events over 600 keys, with a hot set of 8 keys that
+  // repeat in runs (tumbling memo hits, session merges). Most events lag
+  // the front by up to 250 ms; a few lag by up to 2 s and some of those
+  // arrive late. Rare jumps of the front fire many window ends at once.
+  Rng rng(0xA11CE);
+  std::int64_t front_ms = 0;
+  std::int64_t max_ns = std::numeric_limits<std::int64_t>::min();
+  std::int64_t wm_ns = std::numeric_limits<std::int64_t>::min();
+  std::string key = "k0";
+  for (int i = 0; i < 6000; ++i) {
+    front_ms += static_cast<std::int64_t>(rng.NextBelow(4));
+    if (rng.Bernoulli(0.003)) front_ms += 1500 + static_cast<std::int64_t>(rng.NextBelow(4000));
+    if (!rng.Bernoulli(0.6)) {
+      key = rng.Bernoulli(0.5) ? "hot" + std::to_string(rng.NextBelow(8))
+                               : "k" + std::to_string(rng.NextBelow(600));
+    }
+    const std::int64_t lag_ms = static_cast<std::int64_t>(
+        rng.Bernoulli(0.05) ? rng.NextBelow(2000) : rng.NextBelow(250));
+    const Event e = Ev(key, rng.Uniform(-50.0, 50.0), std::max<std::int64_t>(0, front_ms - lag_ms),
+                       rng.Bernoulli(0.2) ? "b" : "a");
+    p.Push(e);
+    model.Process(e);
+    max_ns = std::max(max_ns, e.event_time.nanos());
+    if (max_ns - ooo.nanos() > wm_ns) {
+      wm_ns = max_ns - ooo.nanos();
+      model.Watermark(wm_ns);
+    }
+  }
+  p.Flush();
+  model.Watermark(std::numeric_limits<std::int64_t>::max());
+
+  EXPECT_GT(model.late_dropped, 0u);
+  EXPECT_EQ(p.late_dropped(), model.late_dropped);
+  ASSERT_EQ(got.size(), model.out.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const WindowResult& g = got[i];
+    const WindowResult& m = model.out[i];
+    ASSERT_EQ(std::tie(g.key, g.attribute, g.count), std::tie(m.key, m.attribute, m.count))
+        << "result " << i;
+    ASSERT_EQ(g.window_start.nanos(), m.window_start.nanos()) << "result " << i;
+    ASSERT_EQ(g.window_end.nanos(), m.window_end.nanos()) << "result " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(g.value), std::bit_cast<std::uint64_t>(m.value))
+        << "result " << i << ": " << g.value << " vs " << m.value;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, WindowReferenceModel,
+    ::testing::Values(
+        ModelCase{"Tumbling", WindowSpec::Tumbling(Duration::Seconds(1)), AggKind::kSum,
+                  Duration::Zero()},
+        ModelCase{"TumblingLate", WindowSpec::Tumbling(Duration::Millis(700)), AggKind::kMean,
+                  Duration::Millis(400)},
+        ModelCase{"Sliding",
+                  WindowSpec::Sliding(Duration::Seconds(1), Duration::Millis(250)),
+                  AggKind::kMax, Duration::Zero()},
+        ModelCase{"SlidingLate",
+                  WindowSpec::Sliding(Duration::Millis(900), Duration::Millis(300)),
+                  AggKind::kSum, Duration::Millis(500)},
+        ModelCase{"Session", WindowSpec::Session(Duration::Millis(150)), AggKind::kSum,
+                  Duration::Zero()},
+        ModelCase{"SessionLate", WindowSpec::Session(Duration::Millis(400)), AggKind::kMin,
+                  Duration::Millis(300)}),
+    [](const ::testing::TestParamInfo<ModelCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace arbd::stream
