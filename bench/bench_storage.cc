@@ -1,4 +1,5 @@
-// E25 — segmented tiered log. Four parts:
+// E25 — segmented tiered log. Three parts (E25c is retired; see
+// EXPERIMENTS.md):
 //
 //   E25a: tail-undisturbed — wall-clock tail-produce throughput on a
 //         prefilled partition: flat store vs segmented store vs segmented
@@ -16,11 +17,6 @@
 //         sparse offset/time indexes prune everything outside the answer;
 //         a generous wall bound (<= 8x over a 16x segment growth) rides
 //         along as a smoke check.
-//
-//   E25c: cache hit-rate sweep — one seeded Zipf-ish query workload
-//         replayed against fresh BlockCaches of growing capacity: the
-//         hit rate must be monotone non-decreasing in capacity, and high
-//         once the whole sealed tier fits.
 //
 //   E25d: session replay + differential digests — RunSessionReplay with
 //         segmentation off vs on must verify every tourist session both
@@ -177,9 +173,9 @@ int RunExperiment(bool quick) {
     pr.actual_segments = h.partition().sealed_segment_count();
     const auto mid = static_cast<stream::Offset>(qn / 2);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto rq = stream::QueryRange(h.partition(), mid, mid + 512, nullptr);
+    const auto rq = stream::QueryRange(h.partition(), mid, mid + 512);
     const auto tq = stream::QueryTime(h.partition(), TimePoint::FromMillis(qn / 2),
-                                      TimePoint::FromMillis(qn / 2 + 512), nullptr);
+                                      TimePoint::FromMillis(qn / 2 + 512));
     pr.wall_us = SecondsSince(t0) * 1e6;
     pr.range_blocks = rq.stats.blocks_scanned;
     pr.range_rows = rq.stats.rows_returned;
@@ -196,7 +192,7 @@ int RunExperiment(bool quick) {
                                           std::to_string(pr.time_rows) + "/512 rows)");
     probes.push_back(pr);
   }
-  tb.Print("E25b fixed 512-row queries vs segment count (uncached)");
+  tb.Print("E25b fixed 512-row queries vs segment count");
   checks.Check(probes.back().actual_segments >= 4 * probes.front().actual_segments,
                "query: segment counts actually swept (" +
                    std::to_string(probes.front().actual_segments) + " -> " +
@@ -214,45 +210,6 @@ int RunExperiment(bool quick) {
                "query: wall latency sublinear over 16x segments (" +
                    bench::Fmt("%.1f", probes.front().wall_us) + "us -> " +
                    bench::Fmt("%.1f", probes.back().wall_us) + "us)");
-
-  // --- E25c: cache hit rate monotone in capacity ------------------------
-  {
-    stream::SetSegmentBytesTarget(qn * row_bytes / 128);
-    Harness h;
-    h.Produce(qn);
-    stream::SetSegmentBytesTarget(0);
-    const std::size_t queries = quick ? 1'000 : 2'000;
-    bench::Table tc({"capacity(blocks)", "hit rate", "evictions"});
-    std::vector<double> rates;
-    for (const std::size_t cap : {16u, 64u, 256u, 512u}) {
-      stream::BlockCache cache(cap, 0xCAFEULL);
-      // Same seeded access sequence for every capacity: 80% of queries in
-      // a hot 10% of the log, the rest uniform — the Zipf-ish skew a
-      // session-replay workload shows.
-      Rng rng(0xE25CULL);
-      for (std::size_t q = 0; q < queries; ++q) {
-        const bool hot = rng.NextBelow(10) < 8;
-        const std::size_t span = hot ? qn / 10 : qn - 256;
-        const auto lo = static_cast<stream::Offset>(rng.NextBelow(span));
-        (void)stream::QueryRange(h.partition(), lo, lo + 128, &cache);
-      }
-      rates.push_back(cache.hit_rate());
-      tc.Row({bench::FmtInt(cap), bench::Fmt("%.3f", rates.back()),
-              bench::FmtInt(cache.evictions())});
-    }
-    tc.Print("E25c block-cache hit-rate sweep (same seeded workload)");
-    bool monotone = true;
-    for (std::size_t i = 1; i < rates.size(); ++i) {
-      monotone = monotone && rates[i] >= rates[i - 1] - 1e-9;
-    }
-    checks.Check(monotone, "cache: hit rate monotone non-decreasing in capacity");
-    checks.Check(rates.back() >= 0.7,
-                 "cache: hit rate " + bench::Fmt("%.3f", rates.back()) +
-                     " >= 0.7 once the working set fits");
-    checks.Check(rates.back() > rates.front(),
-                 "cache: capacity actually matters (" + bench::Fmt("%.3f", rates.front()) +
-                     " -> " + bench::Fmt("%.3f", rates.back()) + ")");
-  }
 
   // --- E25d: session replay + differential digests ----------------------
   scenarios::SessionReplayConfig rc;
@@ -335,22 +292,6 @@ void BM_SegmentedTailProduce(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16'384);
 }
 BENCHMARK(BM_SegmentedTailProduce)->Arg(0)->Arg(16'384)->Arg(4'096);
-
-void BM_QueryRangeCached(benchmark::State& state) {
-  stream::SetSegmentBytesTarget(4'096);
-  Harness h;
-  h.Produce(32'768);
-  stream::SetSegmentBytesTarget(0);
-  stream::BlockCache cache(static_cast<std::size_t>(state.range(0)));
-  Rng rng(7);
-  for (auto _ : state) {
-    const auto lo = static_cast<stream::Offset>(rng.NextBelow(32'768 - 256));
-    auto res = stream::QueryRange(h.partition(), lo, lo + 256, &cache);
-    benchmark::DoNotOptimize(res.rows.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_QueryRangeCached)->Arg(64)->Arg(512);
 
 }  // namespace
 

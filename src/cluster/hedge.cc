@@ -66,8 +66,7 @@ template <typename T>
 Expected<T> HedgedReader::HedgedCall(
     stream::PartitionId p, std::uint64_t request_id,
     const std::function<Expected<T>()>& primary_attempt,
-    const std::function<Expected<T>(stream::Partition&, stream::BlockCache*)>&
-        secondary_attempt,
+    const std::function<Expected<T>(stream::Partition&)>& secondary_attempt,
     Deadline* deadline) {
   ++stats_.issued;
   if (deadline != nullptr && deadline->expired()) {
@@ -104,12 +103,12 @@ Expected<T> HedgedReader::HedgedCall(
   const Duration secondary_cost = delay + secondary_op;
   // The secondary read bypasses the cluster gate: it reads the partition
   // (the quorum-acked prefix — exactly what the leader serves) directly,
-  // through the broker's shared block cache. No gate, no injector
-  // randomness, so hedging can never shift a fault schedule.
+  // queries straight from its sealed segment columns. No gate, no
+  // injector randomness, so hedging can never shift a fault schedule.
   Expected<T> secondary = Status::Unavailable("no secondary replica");
   auto t = broker_.GetTopic(topic_);
   if (t.ok() && p < (*t)->partition_count()) {
-    secondary = secondary_attempt((*t)->partition(p), &broker_.query_cache());
+    secondary = secondary_attempt((*t)->partition(p));
     cluster_.health().Observe(secondary_broker, secondary_op, !secondary.ok());
   }
 
@@ -138,9 +137,7 @@ Expected<std::vector<stream::StoredRecord>> HedgedReader::Fetch(
       Mix64(static_cast<std::uint64_t>(from) ^ (static_cast<std::uint64_t>(p) << 48));
   return HedgedCall<std::vector<stream::StoredRecord>>(
       p, request_id, [&] { return broker_.Fetch(topic_, p, from, max_records); },
-      [&](stream::Partition& part, stream::BlockCache*) {
-        return part.Fetch(from, max_records);
-      },
+      [&](stream::Partition& part) { return part.Fetch(from, max_records); },
       deadline);
 }
 
@@ -153,8 +150,8 @@ Expected<stream::QueryResult> HedgedReader::QueryRange(stream::PartitionId p,
             (static_cast<std::uint64_t>(p) << 56));
   return HedgedCall<stream::QueryResult>(
       p, request_id, [&] { return broker_.QueryRange(topic_, p, lo, hi); },
-      [&](stream::Partition& part, stream::BlockCache* cache) -> Expected<stream::QueryResult> {
-        return stream::QueryRange(part, lo, hi, cache);
+      [&](stream::Partition& part) -> Expected<stream::QueryResult> {
+        return stream::QueryRange(part, lo, hi);
       },
       deadline);
 }
@@ -168,8 +165,8 @@ Expected<stream::QueryResult> HedgedReader::QueryTime(stream::PartitionId p,
             (static_cast<std::uint64_t>(p) << 56));
   return HedgedCall<stream::QueryResult>(
       p, request_id, [&] { return broker_.QueryTime(topic_, p, t_lo, t_hi); },
-      [&](stream::Partition& part, stream::BlockCache* cache) -> Expected<stream::QueryResult> {
-        return stream::QueryTime(part, t_lo, t_hi, cache);
+      [&](stream::Partition& part) -> Expected<stream::QueryResult> {
+        return stream::QueryTime(part, t_lo, t_hi);
       },
       deadline);
 }

@@ -97,8 +97,7 @@ class HedgedReader {
   Expected<T> HedgedCall(
       stream::PartitionId p, std::uint64_t request_id,
       const std::function<Expected<T>()>& primary_attempt,
-      const std::function<Expected<T>(stream::Partition&, stream::BlockCache*)>&
-          secondary_attempt,
+      const std::function<Expected<T>(stream::Partition&)>& secondary_attempt,
       Deadline* deadline);
 
   BrokerCluster& cluster_;

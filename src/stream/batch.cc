@@ -66,29 +66,24 @@ void RecordBatch::AppendRange(const RecordBatch& src, std::size_t from, std::siz
   }
 }
 
-Record RecordBatch::MaterializeRecord(std::size_t i) const {
-  Record r;
-  r.key = std::string(key(i));
-  r.payload.assign(payload_data(i), payload_data(i) + payload_size(i));
-  r.event_time = event_time(i);
-  r.ingest_time = ingest_time(i);
-  r.checksum = checksums_[i];
-  r.trace_ctx = trace_ctx(i);
-  return r;
+void RecordBatch::MaterializeRecord(std::size_t i, Record& out) const {
+  out.key.assign(key(i));
+  out.payload.assign(payload_data(i), payload_data(i) + payload_size(i));
+  out.event_time = event_time(i);
+  out.ingest_time = ingest_time(i);
+  out.checksum = checksums_[i];
+  out.trace_ctx = trace_ctx(i);
 }
 
-StoredRecord RecordBatch::MaterializeStored(std::size_t i) const {
-  StoredRecord s;
-  s.partition = partition_;
-  s.offset = base_offset_ + static_cast<Offset>(i);
-  s.record = MaterializeRecord(i);
-  return s;
+void RecordBatch::MaterializeStored(std::size_t i, StoredRecord& out) const {
+  out.partition = partition_;
+  out.offset = base_offset_ + static_cast<Offset>(i);
+  MaterializeRecord(i, out.record);
 }
 
 std::vector<StoredRecord> RecordBatch::Materialize() const {
-  std::vector<StoredRecord> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back(MaterializeStored(i));
+  std::vector<StoredRecord> out(size());
+  for (std::size_t i = 0; i < size(); ++i) MaterializeStored(i, out[i]);
   return out;
 }
 

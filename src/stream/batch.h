@@ -78,8 +78,12 @@ class RecordBatch {
   const std::int64_t* ingest_ns_data() const { return ingest_ns_.data(); }
 
   // --- materialization (row-shaped callers) ------------------------------
-  Record MaterializeRecord(std::size_t i) const;
-  StoredRecord MaterializeStored(std::size_t i) const;
+  // Build row i in place into `out`, normally a freshly emplaced element
+  // (`MaterializeStored(i, rows.emplace_back())`): the row is constructed
+  // where it will live, its key and payload copied once from the column
+  // slices, with no temporary row moved about. Every field is overwritten.
+  void MaterializeRecord(std::size_t i, Record& out) const;
+  void MaterializeStored(std::size_t i, StoredRecord& out) const;
   std::vector<StoredRecord> Materialize() const;
 
   // Position metadata stamped by the fetch path: the absolute offset of

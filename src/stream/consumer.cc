@@ -63,7 +63,7 @@ std::vector<StoredRecord> Consumer::Poll(std::size_t max_records, Deadline* dead
   std::vector<StoredRecord> out;
   out.reserve(rows);
   for (const RecordBatch& batch : batches) {
-    for (std::size_t i = 0; i < batch.size(); ++i) out.push_back(batch.MaterializeStored(i));
+    for (std::size_t i = 0; i < batch.size(); ++i) batch.MaterializeStored(i, out.emplace_back());
   }
   return out;
 }

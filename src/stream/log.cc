@@ -62,8 +62,7 @@ void Partition::SealActiveLocked() {
   } else {
     rows.AppendRange(active_, active_head_, live);
   }
-  sealed_.push_back(
-      std::make_shared<const Segment>(NextSegmentUid(), active_base_, std::move(rows)));
+  sealed_.push_back(std::make_shared<const Segment>(active_base_, std::move(rows)));
   active_ = RecordBatch();
   active_head_ = 0;
   active_dead_bytes_ = 0;
@@ -265,7 +264,8 @@ std::size_t Partition::CompactKeepLatest() {
   return removed;
 }
 
-PartitionSnapshot Partition::Snapshot(Offset lo, Offset hi) const {
+PartitionSnapshot Partition::Snapshot(Offset lo, Offset hi, TimePoint t_lo,
+                                      TimePoint t_hi) const {
   std::lock_guard<std::mutex> lk(mu_);
   PartitionSnapshot snap;
   snap.log_start = start_offset_;
@@ -281,9 +281,18 @@ PartitionSnapshot Partition::Snapshot(Offset lo, Offset hi) const {
   }
   const Offset a_lo = std::max(lo, active_base_);
   if (a_lo < hi) {
-    const std::size_t row = active_head_ + static_cast<std::size_t>(a_lo - active_base_);
-    snap.active.AppendRange(active_, row, static_cast<std::size_t>(hi - a_lo));
-    snap.active.set_base_offset(a_lo);
+    std::size_t first = active_head_ + static_cast<std::size_t>(a_lo - active_base_);
+    std::size_t last = first + static_cast<std::size_t>(hi - a_lo);  // one past
+    if (t_lo != TimePoint::Min() || t_hi != TimePoint::Max()) {
+      const std::int64_t* ev = active_.event_ns_data();
+      const auto outside = [&](std::size_t i) {
+        return ev[i] < t_lo.nanos() || ev[i] >= t_hi.nanos();
+      };
+      while (first < last && outside(first)) ++first;
+      while (last > first && outside(last - 1)) --last;
+    }
+    snap.active.AppendRange(active_, first, last - first);
+    snap.active.set_base_offset(active_base_ + static_cast<Offset>(first - active_head_));
   }
   return snap;
 }
@@ -589,8 +598,7 @@ Expected<QueryResult> Broker::QueryRange(const std::string& topic, PartitionId p
   // Deliberately no fault-injector draw: historical queries consume no
   // injector randomness, so running them alongside a chaos schedule never
   // shifts which tail operations the faults land on.
-  QueryResult res = stream::QueryRange((*t)->partition(partition), lo, hi,
-                                       query_cache_.get());
+  QueryResult res = stream::QueryRange((*t)->partition(partition), lo, hi);
   for (StoredRecord& sr : res.rows) sr.partition = partition;
   return res;
 }
@@ -611,8 +619,7 @@ Expected<QueryResult> Broker::QueryTime(const std::string& topic, PartitionId pa
                      (static_cast<std::uint64_t>(partition) << 56)));
     if (!admitted.ok()) return admitted;
   }
-  QueryResult res = stream::QueryTime((*t)->partition(partition), t_lo, t_hi,
-                                      query_cache_.get());
+  QueryResult res = stream::QueryTime((*t)->partition(partition), t_lo, t_hi);
   for (StoredRecord& sr : res.rows) sr.partition = partition;
   return res;
 }
@@ -633,10 +640,6 @@ Expected<Offset> Broker::OffsetForTimestamp(const std::string& topic,
     if (!admitted.ok()) return admitted;
   }
   return stream::OffsetForTimestamp((*topic_it)->partition(partition), t);
-}
-
-void Broker::ConfigureQueryCache(std::size_t capacity_blocks, std::uint64_t seed) {
-  query_cache_ = std::make_unique<BlockCache>(capacity_blocks, seed);
 }
 
 Expected<std::size_t> Broker::TruncateBefore(const std::string& topic,

@@ -177,8 +177,13 @@ class Partition {
   // sealed segments overlapping [lo, hi) plus a copy of the overlapping
   // live active rows, taken under one lock acquisition. The query then
   // scans the immutable segments lock-free, so long scans never hold the
-  // tail's append lock.
-  PartitionSnapshot Snapshot(Offset lo, Offset hi) const;
+  // tail's append lock. A bounded event-time window [t_lo, t_hi) trims the
+  // active copy to the rows from the first to the last whose event time
+  // lies inside it; rows between them are copied whatever their time, so
+  // the caller still filters. The default, unbounded window copies every
+  // active row in [lo, hi).
+  PartitionSnapshot Snapshot(Offset lo, Offset hi, TimePoint t_lo = TimePoint::Min(),
+                             TimePoint t_hi = TimePoint::Max()) const;
 
   std::size_t sealed_segment_count() const;
 
@@ -337,9 +342,9 @@ class Broker {
                                             Offset from, std::size_t max_records);
 
   // --- historical read path (stream/query.h) ----------------------------
-  // Offset-range and event-time queries over the segmented log, served
-  // through the broker's block cache. Admitted by the cluster gate like
-  // any fetch, but deliberately drawing NO fault-injector randomness:
+  // Offset-range and event-time queries over the segmented log, read
+  // straight from the sealed segment columns. Admitted by the cluster gate
+  // like any fetch, but deliberately drawing NO fault-injector randomness:
   // running historical scans never shifts a fault schedule, so scenario
   // digests are unchanged whether or not queries run alongside.
   // Out-of-window bounds clamp to [log_start, end) instead of erroring —
@@ -352,12 +357,6 @@ class Broker {
   // Consumer::SeekToTimestamp repositions with).
   Expected<Offset> OffsetForTimestamp(const std::string& topic, PartitionId partition,
                                       TimePoint t);
-
-  // Replace the query block cache (capacity in blocks; the seed salts the
-  // hash layout). The default cache holds 1024 blocks.
-  void ConfigureQueryCache(std::size_t capacity_blocks,
-                           std::uint64_t seed = 0x5eedb10cULL);
-  BlockCache& query_cache() { return *query_cache_; }
 
   // Advance a partition's log start (consumer-driven queue truncation).
   Expected<std::size_t> TruncateBefore(const std::string& topic, PartitionId partition,
@@ -432,7 +431,6 @@ class Broker {
   std::atomic<std::uint64_t> backpressure_rejects_{0};
   std::atomic<ProducerId> next_pid_{1};
   std::mutex fault_mu_;
-  std::unique_ptr<BlockCache> query_cache_ = std::make_unique<BlockCache>(1024);
   fault::FaultInjector* fault_ = nullptr;
   MetricRegistry* metrics_ = nullptr;
   trace::Tracer* tracer_ = nullptr;

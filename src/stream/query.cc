@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "stream/log.h"
 
@@ -18,121 +19,7 @@ void QueryStats::Merge(const QueryStats& o) {
   cache_misses += o.cache_misses;
 }
 
-std::size_t BlockCache::Hash::operator()(const BlockKey& k) const {
-  // splitmix64 over (uid, block) salted by the cache seed: the salt moves
-  // bucket layout between instances without ever touching LRU order.
-  std::uint64_t x = k.segment_uid ^ (static_cast<std::uint64_t>(k.block) << 32) ^ seed;
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<std::size_t>(x ^ (x >> 31));
-}
-
-BlockCache::BlockCache(std::size_t capacity_blocks, std::uint64_t seed)
-    : capacity_(std::max<std::size_t>(1, capacity_blocks)),
-      index_(16, Hash{seed}) {}
-
-std::shared_ptr<const CachedBlock> BlockCache::Get(const BlockKey& key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->block;
-}
-
-std::shared_ptr<const CachedBlock> BlockCache::Put(const BlockKey& key, CachedBlock block) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Raced with another loader of the same block; keep the resident copy
-    // (identical by immutability) and just refresh recency.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->block;
-  }
-  lru_.push_front(Entry{key, std::make_shared<const CachedBlock>(std::move(block))});
-  index_[key] = lru_.begin();
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  return lru_.front().block;
-}
-
-std::size_t BlockCache::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return lru_.size();
-}
-
-std::uint64_t BlockCache::hits() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return hits_;
-}
-
-std::uint64_t BlockCache::misses() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return misses_;
-}
-
-std::uint64_t BlockCache::evictions() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return evictions_;
-}
-
-double BlockCache::hit_rate() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::uint64_t total = hits_ + misses_;
-  return total == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(total);
-}
-
-void BlockCache::Clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
-namespace {
-
-// Materialize one sealed block through the cache (or directly when
-// uncached). The block is built whole — every row, not just the query's
-// sub-range — so a later query for a different slice of the same block
-// hits instead of re-materializing.
-std::shared_ptr<const CachedBlock> LoadBlock(const Segment& seg, std::size_t b,
-                                             BlockCache* cache, QueryStats& stats) {
-  const SegmentBlock& blk = seg.blocks()[b];
-  const BlockKey key{seg.uid(), static_cast<std::uint32_t>(b)};
-  if (cache != nullptr) {
-    if (auto hit = cache->Get(key)) {
-      ++stats.cache_hits;
-      return hit;
-    }
-    ++stats.cache_misses;
-  }
-  CachedBlock rows;
-  rows.reserve(blk.rows);
-  for (std::size_t i = blk.first_row; i < blk.first_row + blk.rows; ++i) {
-    rows.push_back(seg.data().MaterializeStored(i));
-  }
-  if (cache != nullptr) return cache->Put(key, std::move(rows));
-  return std::make_shared<const CachedBlock>(std::move(rows));
-}
-
-void AppendActiveRows(const PartitionSnapshot& snap, QueryResult& out) {
-  for (std::size_t i = 0; i < snap.active.size(); ++i) {
-    ++out.stats.rows_examined;
-    out.rows.push_back(snap.active.MaterializeStored(i));
-    ++out.stats.rows_returned;
-  }
-}
-
-}  // namespace
-
-QueryResult QueryRange(const Partition& partition, Offset lo, Offset hi,
-                       BlockCache* cache) {
+QueryResult QueryRange(const Partition& partition, Offset lo, Offset hi) {
   // Snapshot already clamps to [log_start, end) and keeps only overlapping
   // sealed segments plus a copy of the overlapping live active rows.
   PartitionSnapshot snap = partition.Snapshot(lo, hi);
@@ -140,6 +27,7 @@ QueryResult QueryRange(const Partition& partition, Offset lo, Offset hi,
   hi = std::min(hi, snap.end);
   QueryResult out;
   if (lo >= hi) return out;
+  out.rows.reserve(static_cast<std::size_t>(hi - lo));
   for (const auto& seg : snap.sealed) {
     ++out.stats.segments_considered;
     // Dense offsets: the offset index is (base, block table) — the row
@@ -152,65 +40,78 @@ QueryResult QueryRange(const Partition& partition, Offset lo, Offset hi,
       ++out.stats.segments_pruned;
       continue;
     }
-    out.stats.blocks_pruned += seg->block_of_row(r0);
-    for (std::size_t b = seg->block_of_row(r0); b <= seg->block_of_row(r1 - 1); ++b) {
-      auto block = LoadBlock(*seg, b, cache, out.stats);
-      ++out.stats.blocks_scanned;
-      for (const StoredRecord& sr : *block) {
-        if (sr.offset < lo) continue;
-        if (sr.offset >= hi) break;
-        ++out.stats.rows_examined;
-        out.rows.push_back(sr);
-        ++out.stats.rows_returned;
-      }
+    const std::size_t b0 = seg->block_of_row(r0);
+    const std::size_t b1 = seg->block_of_row(r1 - 1);
+    out.stats.blocks_pruned += b0 + (seg->block_count() - 1 - b1);
+    out.stats.blocks_scanned += b1 - b0 + 1;
+    out.stats.rows_examined += r1 - r0;
+    for (std::size_t i = r0; i < r1; ++i) {
+      seg->data().MaterializeStored(i, out.rows.emplace_back());
     }
-    out.stats.blocks_pruned += seg->block_count() - 1 - seg->block_of_row(r1 - 1);
   }
-  AppendActiveRows(snap, out);
+  out.stats.rows_examined += snap.active.size();
+  for (std::size_t i = 0; i < snap.active.size(); ++i) {
+    snap.active.MaterializeStored(i, out.rows.emplace_back());
+  }
+  out.stats.rows_returned = out.rows.size();
   return out;
 }
 
-QueryResult QueryTime(const Partition& partition, TimePoint t_lo, TimePoint t_hi,
-                      BlockCache* cache) {
+QueryResult QueryTime(const Partition& partition, TimePoint t_lo, TimePoint t_hi) {
   QueryResult out;
   if (t_lo >= t_hi) return out;
-  // Time gives no offset bounds up front, so snapshot the whole log and
-  // prune with the time indexes instead.
+  // Time gives no offset bounds up front, so snapshot the whole sealed
+  // run and prune it with the time indexes; the active copy is trimmed to
+  // the rows between the first and the last inside the window.
   PartitionSnapshot snap =
-      partition.Snapshot(0, std::numeric_limits<Offset>::max());
+      partition.Snapshot(0, std::numeric_limits<Offset>::max(), t_lo, t_hi);
   const std::int64_t lo_ns = t_lo.nanos();
   const std::int64_t hi_ns = t_hi.nanos();
+  // Plan first, so the answer is sized once: the blocks that survive
+  // pruning bound the sealed rows, the active copy the rest.
+  std::vector<std::pair<const Segment*, const SegmentBlock*>> scan;
+  std::size_t bound = snap.active.size();
   for (const auto& seg : snap.sealed) {
     ++out.stats.segments_considered;
     if (seg->max_event_time().nanos() < lo_ns || seg->min_event_time().nanos() >= hi_ns) {
       ++out.stats.segments_pruned;
       continue;
     }
-    for (std::size_t b = 0; b < seg->block_count(); ++b) {
-      const SegmentBlock& blk = seg->blocks()[b];
+    for (const SegmentBlock& blk : seg->blocks()) {
       if (blk.max_event_ns < lo_ns || blk.min_event_ns >= hi_ns) {
         ++out.stats.blocks_pruned;
         continue;
       }
-      auto block = LoadBlock(*seg, b, cache, out.stats);
-      ++out.stats.blocks_scanned;
-      for (const StoredRecord& sr : *block) {
-        ++out.stats.rows_examined;
-        if (sr.offset < snap.log_start) continue;  // truncated-away prefix
-        const std::int64_t ev = sr.record.event_time.nanos();
-        if (ev < lo_ns || ev >= hi_ns) continue;
-        out.rows.push_back(sr);
-        ++out.stats.rows_returned;
-      }
+      scan.emplace_back(seg.get(), &blk);
+      bound += blk.rows;
     }
   }
-  for (std::size_t i = 0; i < snap.active.size(); ++i) {
-    ++out.stats.rows_examined;
-    const std::int64_t ev = snap.active.event_time(i).nanos();
-    if (ev < lo_ns || ev >= hi_ns) continue;
-    out.rows.push_back(snap.active.MaterializeStored(i));
-    ++out.stats.rows_returned;
+  out.rows.reserve(bound);
+  // Builds the rows [from, to) of `batch` whose event time is inside the
+  // window, each in place at the end of the answer.
+  const auto append_in_window = [&](const RecordBatch& batch, std::size_t from,
+                                    std::size_t to) {
+    const std::int64_t* event_ns = batch.event_ns_data();
+    for (std::size_t i = from; i < to; ++i) {
+      if (event_ns[i] < lo_ns || event_ns[i] >= hi_ns) continue;
+      batch.MaterializeStored(i, out.rows.emplace_back());
+    }
+  };
+  for (const auto& [seg, blk] : scan) {
+    ++out.stats.blocks_scanned;
+    out.stats.rows_examined += blk->rows;
+    // Rows below log_start are the truncated-away prefix of the front
+    // segment.
+    const std::size_t live_from =
+        snap.log_start > seg->base_offset()
+            ? static_cast<std::size_t>(snap.log_start - seg->base_offset())
+            : 0;
+    append_in_window(seg->data(), std::max<std::size_t>(blk->first_row, live_from),
+                     blk->first_row + blk->rows);
   }
+  out.stats.rows_examined += snap.active.size();
+  append_in_window(snap.active, 0, snap.active.size());
+  out.stats.rows_returned = out.rows.size();
   return out;
 }
 

@@ -1,24 +1,21 @@
-// Historical read path over the segmented partition (ISSUE 8): range and
-// time queries plus timestamp seek, layered on a seeded-LRU block cache.
-// The loader/query/cache split: stream/segment.h owns the sealed storage
-// and its sparse indexes (the loader tier), this header owns query
-// planning/execution and the cache that sits between the two.
+// Historical read path over the segmented partition: range and
+// time queries plus timestamp seek. stream/segment.h owns the sealed
+// storage and its sparse indexes; this header owns query planning and
+// execution over them.
 //
 // Contract with the tail: queries take the partition lock only to
 // snapshot shared_ptrs to the sealed run (plus a bounded copy of the live
-// active window), then scan immutable segments lock-free through the
-// cache — so historical scans never hold the tail's append lock across a
-// block. Queries consume no fault-injector randomness and are admitted
-// through the same ClusterGate as any fetch (Broker::QueryRange /
-// QueryTime / OffsetForTimestamp in stream/log.h), so turning them on
-// never perturbs a fault schedule or a scenario digest.
+// active window), then read rows straight from the immutable segment
+// columns lock-free — so historical scans never hold the tail's append
+// lock across a block. Each returned row is built once, in place in the
+// answer, from the column slices. Queries consume no fault-injector
+// randomness and are admitted through the same ClusterGate as any fetch
+// (Broker::QueryRange / QueryTime / OffsetForTimestamp in stream/log.h),
+// so turning them on never perturbs a fault schedule or a scenario
+// digest.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -38,8 +35,12 @@ struct QueryStats {
   std::uint64_t segments_pruned = 0;      // skipped whole via segment bounds
   std::uint64_t blocks_pruned = 0;        // skipped whole via block bounds
   std::uint64_t blocks_scanned = 0;       // blocks whose rows were examined
+  // Sealed rows in scanned blocks (QueryTime: every row of the block;
+  // QueryRange: the rows inside [lo, hi)) plus the active rows the
+  // snapshot copied.
   std::uint64_t rows_examined = 0;
   std::uint64_t rows_returned = 0;
+  // Always 0: there is no block cache; kept because perfbench reads them.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 
@@ -53,74 +54,18 @@ struct QueryResult {
   QueryStats stats;
 };
 
-// One cached block: the materialized rows of (segment uid, block index),
-// offsets absolute, partition unset. Shared so an eviction never
-// invalidates a reader mid-scan.
-using CachedBlock = std::vector<StoredRecord>;
-
-struct BlockKey {
-  std::uint64_t segment_uid = 0;
-  std::uint32_t block = 0;
-  bool operator==(const BlockKey&) const = default;
-};
-
-// Seeded-LRU block cache between the sealed segments and the query path.
-// Capacity is counted in blocks; eviction is exact LRU over a doubly
-// linked list, so behaviour is deterministic given the access sequence —
-// the seed only salts the key hash (shuffling bucket layout across
-// instances, never the eviction order), which keeps two caches with the
-// same capacity and access stream byte-identical in their hit/miss
-// sequences. Thread-safe; one cache fronts all of a Broker's partitions.
-class BlockCache {
- public:
-  explicit BlockCache(std::size_t capacity_blocks, std::uint64_t seed = 0x5eedb10cULL);
-
-  // nullptr on miss. A hit refreshes recency.
-  std::shared_ptr<const CachedBlock> Get(const BlockKey& key);
-  // Inserts (or refreshes) and returns the resident block, evicting the
-  // least-recently-used entries over capacity.
-  std::shared_ptr<const CachedBlock> Put(const BlockKey& key, CachedBlock block);
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
-  double hit_rate() const;  // hits / (hits + misses), 0 when cold
-  void Clear();
-
- private:
-  struct Hash {
-    std::uint64_t seed;
-    std::size_t operator()(const BlockKey& k) const;
-  };
-  struct Entry {
-    BlockKey key;
-    std::shared_ptr<const CachedBlock> block;
-  };
-
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<BlockKey, std::list<Entry>::iterator, Hash> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-};
-
 // Rows with offsets in [lo, hi) ∩ [log_start, end), in offset order.
-// Sealed rows are served through `cache` (nullptr = uncached scan); the
-// live active window is read from the snapshot copy. Out-of-window
-// bounds clamp — a historical query asking below the log start gets the
-// surviving suffix, mirroring consumer auto-reset rather than erroring.
-QueryResult QueryRange(const Partition& partition, Offset lo, Offset hi,
-                       BlockCache* cache);
+// Sealed rows are read from the segment columns; the live active window
+// from the snapshot copy. Out-of-window bounds clamp — a historical query
+// asking below the log start gets the surviving suffix, mirroring
+// consumer auto-reset rather than erroring.
+QueryResult QueryRange(const Partition& partition, Offset lo, Offset hi);
 
 // Rows with event time in [t_lo, t_hi), in offset order. Prunes whole
 // segments by their event-time bounds and whole blocks by the sparse
-// time index before examining any row.
-QueryResult QueryTime(const Partition& partition, TimePoint t_lo, TimePoint t_hi,
-                      BlockCache* cache);
+// time index before examining any row, and copies only the active rows
+// from the first to the last inside the window.
+QueryResult QueryTime(const Partition& partition, TimePoint t_lo, TimePoint t_hi);
 
 // The smallest retained offset whose event time is >= t, or the log end
 // when no such record exists — Kafka's offsetsForTimes, the primitive

@@ -22,8 +22,6 @@ std::size_t ReadSegmentBytesEnv() {
   return static_cast<std::size_t>(v);
 }
 
-std::atomic<std::uint64_t> g_next_segment_uid{1};
-
 }  // namespace
 
 std::size_t SegmentBytesTarget() {
@@ -39,12 +37,8 @@ void SetSegmentBytesTarget(std::size_t bytes) {
   g_segment_bytes.store(static_cast<long long>(bytes), std::memory_order_relaxed);
 }
 
-std::uint64_t NextSegmentUid() {
-  return g_next_segment_uid.fetch_add(1, std::memory_order_relaxed);
-}
-
-Segment::Segment(std::uint64_t uid, Offset base_offset, RecordBatch rows)
-    : uid_(uid), base_(base_offset), data_(std::move(rows)) {
+Segment::Segment(Offset base_offset, RecordBatch rows)
+    : base_(base_offset), data_(std::move(rows)) {
   data_.set_base_offset(base_);
   const std::size_t n = data_.size();
   blocks_.reserve((n + kSegmentBlockRows - 1) / kSegmentBlockRows);

@@ -3,8 +3,9 @@
 // run of sealed Segments; once a segment is sealed its rows never change,
 // which is what makes the historical read path cheap: queries hold the
 // partition lock only long enough to snapshot shared_ptrs to the sealed
-// run, then scan immutable data lock-free through the block cache
-// (stream/query.h) while the tail keeps appending.
+// run, then read rows straight from the immutable segment columns
+// lock-free (stream/query.h) while the tail keeps appending. The columns
+// are already resident, so there is no second, row-shaped copy to cache.
 //
 // Indexes carried by every sealed segment, built once at seal time:
 //   - offset index: offsets are dense, so the index is the pair
@@ -64,11 +65,9 @@ struct SegmentBlock {
 class Segment {
  public:
   // Seals `rows` (which must be non-empty) as offsets starting at
-  // `base_offset`. `uid` must be process-unique (Partition draws it from
-  // NextSegmentUid) — it keys this segment's blocks in the BlockCache.
-  Segment(std::uint64_t uid, Offset base_offset, RecordBatch rows);
+  // `base_offset`.
+  Segment(Offset base_offset, RecordBatch rows);
 
-  std::uint64_t uid() const { return uid_; }
   Offset base_offset() const { return base_; }
   Offset end_offset() const { return base_ + static_cast<Offset>(data_.size()); }
   std::size_t rows() const { return data_.size(); }
@@ -92,7 +91,6 @@ class Segment {
   std::size_t LowerBoundEventRow(TimePoint t, std::size_t from_row = 0) const;
 
  private:
-  std::uint64_t uid_;
   Offset base_;
   RecordBatch data_;
   std::vector<SegmentBlock> blocks_;
@@ -101,15 +99,12 @@ class Segment {
   std::int64_t max_ingest_ns_;
 };
 
-// Process-unique segment id (never 0). Uniqueness across partitions is
-// what lets the block cache key on (segment uid, block) alone.
-std::uint64_t NextSegmentUid();
-
 // What a query sees of a partition at one instant: shared ownership of
 // the sealed run (immutable, scanned lock-free) plus a copy of the live
-// active rows in the requested window. `log_start` matters because the
-// oldest sealed segment may carry a truncated-away dead prefix — rows
-// below log_start exist in the segment but must not be served.
+// active rows in the requested window (Partition::Snapshot). `log_start`
+// matters because the oldest sealed segment may carry a truncated-away
+// dead prefix — rows below log_start exist in the segment but must not be
+// served.
 struct PartitionSnapshot {
   std::vector<std::shared_ptr<const Segment>> sealed;
   RecordBatch active;  // base_offset() = absolute offset of its row 0

@@ -1,8 +1,9 @@
 // Broker thread-safety tests (satellite c of the executor refactor, run
 // under TSan in CI): raw std::thread clients hammering disjoint
 // partitions with Produce/Fetch/TruncateBefore, budgeted producers racing
-// a truncating consumer with exact accounting invariants, and the
-// ParallelProduce outcome-digest equivalence against the serial loop.
+// a truncating consumer with exact accounting invariants, the
+// ParallelProduce outcome-digest equivalence against the serial loop, and
+// historical queries racing appends, seals and truncation.
 #include <atomic>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "exec/executor.h"
 #include "stream/log.h"
 #include "stream/parallel.h"
+#include "stream/segment.h"
 
 namespace arbd {
 namespace {
@@ -229,6 +231,137 @@ TEST(BrokerConcurrency, ParallelProduceMatchesSerialLoopAtEveryWorkerCount) {
     EXPECT_EQ(rep.produced, kRecords);
     EXPECT_EQ(OutcomeDigest(rep, broker, "conc.par", kRecords), serial_digest)
         << "workers=" << workers;
+  }
+}
+
+TEST(BrokerConcurrency, HistoricalQueriesRaceAppendsSealsAndTruncation) {
+  // Historical readers race the tail on one partition: a producer appends
+  // and seals a segment every few rows, a truncator advances the log start
+  // into sealed segments and the active batch behind it, and three readers
+  // run QueryTime, QueryRange and OffsetForTimestamp throughout. Every
+  // answer must be a well-formed slice of the log.
+  const std::size_t prev_target = stream::SegmentBytesTarget();
+  stream::SetSegmentBytesTarget(512);  // before any thread starts
+  SimClock clock;
+  stream::Broker broker(clock);
+  stream::TopicConfig tc;
+  tc.partitions = 1;
+  ASSERT_TRUE(broker.CreateTopic("conc.query", tc).ok());
+  auto topic = broker.GetTopic("conc.query");
+  ASSERT_TRUE(topic.ok());
+  const stream::Partition& part = (*topic)->partition(0);
+
+  constexpr std::int64_t kRecords = 4'000;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<std::uint64_t> answers{0};
+
+  std::thread producer([&] {
+    Rng rng(41);
+    for (std::int64_t i = 0; i < kRecords; ++i) {
+      // Stay at most 16 records per answer ahead of the readers, so the
+      // race happens however the threads are scheduled. Readers never
+      // wait on the producer, so this cannot deadlock.
+      while (answers.load() < static_cast<std::uint64_t>(i / 16)) std::this_thread::yield();
+      // Event times jitter ahead of the offsets, so windows cut unevenly.
+      const std::int64_t ms = i + static_cast<std::int64_t>(rng.NextBelow(16));
+      Bytes payload(8 + rng.NextBelow(24), static_cast<std::uint8_t>(i));
+      auto off = broker.ProduceToPartition(
+          "conc.query", 0,
+          stream::Record::Make("k" + std::to_string(i % 8), std::move(payload),
+                               TimePoint::FromMillis(ms)));
+      if (!off.ok()) failures.fetch_add(1);
+    }
+    done.store(true);
+  });
+  std::thread truncator([&] {
+    while (!done.load()) {
+      const stream::Offset end = part.end_offset();
+      if (end > 300) (void)broker.TruncateBefore("conc.query", 0, end - 300 + end % 37);
+      std::this_thread::yield();
+    }
+  });
+
+  // Strictly increasing offsets, every row inside its window, intact
+  // payloads.
+  const auto check = [&](const Expected<stream::QueryResult>& res, auto in_window) {
+    if (!res.ok()) {
+      failures.fetch_add(1);
+      return;
+    }
+    stream::Offset prev = -1;
+    for (const stream::StoredRecord& sr : res->rows) {
+      if (sr.offset <= prev || !in_window(sr) ||
+          sr.record.checksum != Fnv1a(sr.record.payload)) {
+        failures.fetch_add(1);
+      }
+      prev = sr.offset;
+    }
+    answers.fetch_add(1);
+  };
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {
+    Rng rng(1);
+    while (!done.load()) {
+      const auto lo = TimePoint::FromMillis(static_cast<std::int64_t>(rng.NextBelow(kRecords)));
+      const auto hi = lo + Duration::Millis(1 + static_cast<std::int64_t>(rng.NextBelow(200)));
+      check(broker.QueryTime("conc.query", 0, lo, hi), [&](const stream::StoredRecord& sr) {
+        return sr.record.event_time >= lo && sr.record.event_time < hi;
+      });
+    }
+  });
+  readers.emplace_back([&] {
+    Rng rng(2);
+    while (!done.load()) {
+      const auto lo = static_cast<stream::Offset>(rng.NextBelow(kRecords));
+      const auto hi = lo + 1 + static_cast<stream::Offset>(rng.NextBelow(300));
+      check(broker.QueryRange("conc.query", 0, lo, hi), [&](const stream::StoredRecord& sr) {
+        return sr.offset >= lo && sr.offset < hi;
+      });
+    }
+  });
+  readers.emplace_back([&] {
+    Rng rng(3);
+    while (!done.load()) {
+      const auto t = TimePoint::FromMillis(static_cast<std::int64_t>(rng.NextBelow(kRecords)));
+      const stream::Offset start = part.log_start_offset();
+      const stream::Offset end_before = part.end_offset();
+      auto off = broker.OffsetForTimestamp("conc.query", 0, t);
+      const stream::Offset end_after = part.end_offset();
+      // The log start only advances and the end only grows, so the answer
+      // lies between what was read before and after the call.
+      if (!off.ok() || *off < start || *off > end_after) {
+        failures.fetch_add(1);
+        continue;
+      }
+      answers.fetch_add(1);
+      // A row that existed before the call is the one found, so its event
+      // time is at or after t (unless truncated away since). At or past
+      // end_before the answer may be the log end the call saw.
+      if (*off >= end_before) continue;
+      auto row = broker.Fetch("conc.query", 0, *off, 1);
+      if (row.ok() && !row->empty() && row->front().record.event_time < t) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+
+  producer.join();
+  truncator.join();
+  for (auto& r : readers) r.join();
+  stream::SetSegmentBytesTarget(prev_target);
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(answers.load(), 0u);
+  EXPECT_GT(part.sealed_segment_count(), 0u);
+  // Quiesced: a full-range query equals a plain fetch of the live log.
+  auto all = broker.QueryRange("conc.query", 0, 0, kRecords);
+  auto fetched = broker.Fetch("conc.query", 0, part.log_start_offset(), kRecords);
+  ASSERT_TRUE(all.ok() && fetched.ok());
+  ASSERT_EQ(all->rows.size(), fetched->size());
+  for (std::size_t i = 0; i < fetched->size(); ++i) {
+    EXPECT_EQ(all->rows[i].offset, (*fetched)[i].offset);
+    EXPECT_EQ(all->rows[i].record.payload, (*fetched)[i].record.payload);
   }
 }
 

@@ -1,7 +1,8 @@
 // Segmented-log coverage (ISSUE 8): fetch/poll straddling segment seams,
 // structured OutOfRange below dropped segments, depth/byte gauge freshness
 // across whole-segment and partial-front drops, the query tier
-// (QueryRange/QueryTime/OffsetForTimestamp/SeekToTimestamp), and a
+// (QueryRange/QueryTime/OffsetForTimestamp/SeekToTimestamp) checked
+// against a brute-force reference model, and a
 // differential harness proving segmentation is a pure storage-layout
 // change: every scenario digest, failover committed digest, cluster soak
 // committed digest, and session-replay digest is bit-identical with
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "scenarios/cluster.h"
 #include "scenarios/digest.h"
 #include "scenarios/failover.h"
@@ -152,7 +154,9 @@ TEST_F(SegmentedLogTest, PollBatchesDeliversAcrossSeamsExactlyOnce) {
     if (batches.empty()) break;
     for (const auto& rb : batches) {
       for (std::size_t i = 0; i < rb.size(); ++i) {
-        polled.push_back(rb.MaterializeStored(i).record.TextPayload());
+        StoredRecord row;
+        rb.MaterializeStored(i, row);
+        polled.push_back(row.record.TextPayload());
       }
     }
   }
@@ -415,34 +419,133 @@ TEST_F(SegmentedLogTest, OffsetForTimestampAndSeekAcrossSegments) {
   EXPECT_EQ(total, 50u);
 }
 
-TEST_F(SegmentedLogTest, BlockCacheSeedChangesLayoutNeverAnswers) {
-  SegmentTargetGuard guard(128);
-  ProduceN(400);
-  auto baseline = broker_.QueryRange("seg", 0, 37, 245);
-  ASSERT_TRUE(baseline.ok());
-  for (const std::uint64_t seed : {1ull, 0xdeadbeefull, 0x5eedb10cull}) {
-    broker_.ConfigureQueryCache(8, seed);  // tiny: forces evictions
-    for (int round = 0; round < 3; ++round) {
-      auto res = broker_.QueryRange("seg", 0, 37, 245);
-      ASSERT_TRUE(res.ok());
-      ASSERT_EQ(res->rows.size(), baseline->rows.size()) << "seed=" << seed;
-      for (std::size_t i = 0; i < res->rows.size(); ++i) {
-        EXPECT_EQ(res->rows[i].offset, baseline->rows[i].offset);
-        EXPECT_EQ(res->rows[i].record.TextPayload(),
-                  baseline->rows[i].record.TextPayload());
-      }
-    }
-    EXPECT_GT(broker_.query_cache().evictions(), 0u) << "seed=" << seed;
+// Reference model for the query tier: QueryTime and QueryRange must equal
+// a brute-force filter over Partition::Fetch(log_start, ∞), row for row
+// and in order. Event times are seeded out of order, so the active rows
+// matching a time window are not contiguous; the log start is truncated
+// into the front sealed segment and, separately, into the active batch;
+// windows straddle the seal boundary, and empty and inverted windows ride
+// along. Every window is queried twice: repeated queries answer the same.
+void ExpectSameRows(const std::vector<StoredRecord>& got,
+                    const std::vector<StoredRecord>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Record& g = got[i].record;
+    const Record& w = want[i].record;
+    EXPECT_EQ(got[i].offset, want[i].offset) << what << " row " << i;
+    EXPECT_EQ(g.key, w.key) << what << " row " << i;
+    EXPECT_EQ(g.payload, w.payload) << what << " row " << i;
+    EXPECT_EQ(g.event_time, w.event_time) << what << " row " << i;
+    EXPECT_EQ(g.ingest_time, w.ingest_time) << what << " row " << i;
+    EXPECT_EQ(g.checksum, w.checksum) << what << " row " << i;
   }
-  // A cache big enough to hold the working set converges to pure hits.
-  broker_.ConfigureQueryCache(64);
-  (void)broker_.QueryRange("seg", 0, 0, 400);
-  const auto misses_after_warm = broker_.query_cache().misses();
-  auto warm = broker_.QueryRange("seg", 0, 0, 400);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(broker_.query_cache().misses(), misses_after_warm)
-      << "second identical scan must be served entirely from cache";
-  EXPECT_GT(warm->stats.cache_hits, 0u);
+}
+
+void CheckQueriesAgainstModel(std::size_t seal_target, bool truncate_in_active,
+                              std::uint64_t seed) {
+  SegmentTargetGuard guard(seal_target);
+  SimClock clock;
+  Broker broker(clock);
+  ASSERT_TRUE(broker.CreateTopic("ref", TopicConfig{.partitions = 1}).ok());
+  auto topic = broker.GetTopic("ref");
+  ASSERT_TRUE(topic.ok());
+  const Partition& part = (*topic)->partition(0);
+  Rng rng(seed);
+  // Event time drifts forward with ±40 ms of jitter around 1 ms per row.
+  const auto produce = [&](int i) {
+    const std::int64_t ms = i + static_cast<std::int64_t>(rng.NextBelow(81)) - 40;
+    ASSERT_TRUE(broker
+                    .Produce("ref", Record::MakeText("k" + std::to_string(i % 8),
+                                                     "v" + std::to_string(i),
+                                                     TimePoint::FromMillis(ms)))
+                    .ok());
+    clock.Advance(Duration::Micros(1 + static_cast<std::int64_t>(rng.NextBelow(500))));
+  };
+  int produced = 0;
+  while (produced < 400) produce(produced++);
+  // Segmented runs keep a few live active rows beside the sealed run.
+  while (part.Snapshot(0, part.end_offset()).active.size() < 8) produce(produced++);
+  const PartitionSnapshot before = part.Snapshot(0, part.end_offset());
+  if (seal_target > 0) ASSERT_GE(before.sealed.size(), 3u);
+
+  const Offset cut = truncate_in_active
+                         ? before.active.base_offset() +
+                               static_cast<Offset>(before.active.size() / 2)
+                         : (before.sealed.empty()
+                                ? static_cast<Offset>(produced / 4)
+                                : before.sealed[0]->base_offset() +
+                                      static_cast<Offset>(before.sealed[0]->rows() / 2));
+  ASSERT_TRUE(broker.TruncateBefore("ref", 0, cut).ok());
+  ASSERT_EQ(part.log_start_offset(), cut);
+
+  auto all = part.Fetch(cut, 1'000'000);
+  ASSERT_TRUE(all.ok());
+  const std::vector<StoredRecord>& model = *all;
+  const std::string ctx = "target=" + std::to_string(seal_target) +
+                          " truncate_in_active=" + std::to_string(truncate_in_active) +
+                          " seed=" + std::to_string(seed);
+
+  // The seal boundary: the first active row, in offsets and event time.
+  const PartitionSnapshot after = part.Snapshot(0, part.end_offset());
+  const Offset seam = after.active.base_offset();
+  const std::int64_t seam_ms = after.active.event_time(0).nanos() / 1'000'000;
+  const Offset end = part.end_offset();
+
+  std::vector<std::pair<Offset, Offset>> ranges = {
+      {seam - 7, seam + 5}, {0, end + 100}, {cut - 3, cut + 3}, {seam, seam},
+      {seam + 5, seam - 7}, {end, end + 10}};
+  std::vector<std::pair<std::int64_t, std::int64_t>> times = {
+      {seam_ms - 30, seam_ms + 30}, {-1'000, 1'000'000}, {seam_ms, seam_ms},
+      {seam_ms + 30, seam_ms - 30}, {1'000'000, 2'000'000}};
+  for (int i = 0; i < 20; ++i) {
+    const auto lo = static_cast<Offset>(rng.NextBelow(static_cast<std::uint64_t>(end)));
+    ranges.emplace_back(lo, lo + static_cast<Offset>(rng.NextBelow(120)));
+    const auto t = static_cast<std::int64_t>(rng.NextBelow(static_cast<std::uint64_t>(produced)));
+    times.emplace_back(t, t + static_cast<std::int64_t>(rng.NextBelow(90)));
+  }
+
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<StoredRecord> want;
+    for (const StoredRecord& sr : model) {
+      if (sr.offset >= lo && sr.offset < hi) want.push_back(sr);
+    }
+    for (int round = 0; round < 2; ++round) {
+      const QueryResult res = QueryRange(part, lo, hi);
+      ExpectSameRows(res.rows, want,
+                     ctx + " range [" + std::to_string(lo) + "," + std::to_string(hi) + ")");
+      EXPECT_EQ(res.stats.rows_returned, res.rows.size());
+    }
+  }
+  for (const auto& [lo_ms, hi_ms] : times) {
+    const TimePoint t_lo = TimePoint::FromMillis(lo_ms);
+    const TimePoint t_hi = TimePoint::FromMillis(hi_ms);
+    std::vector<StoredRecord> want;
+    for (const StoredRecord& sr : model) {
+      if (sr.record.event_time >= t_lo && sr.record.event_time < t_hi) want.push_back(sr);
+    }
+    for (int round = 0; round < 2; ++round) {
+      const QueryResult res = QueryTime(part, t_lo, t_hi);
+      ExpectSameRows(res.rows, want,
+                     ctx + " time [" + std::to_string(lo_ms) + "," + std::to_string(hi_ms) +
+                         ") ms");
+      EXPECT_EQ(res.stats.rows_returned, res.rows.size());
+      EXPECT_GE(res.stats.rows_examined, res.stats.rows_returned);
+    }
+  }
+}
+
+TEST(QueryReferenceModel, FlatLayoutMatchesBruteForce) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    CheckQueriesAgainstModel(0, /*truncate_in_active=*/false, seed);
+    CheckQueriesAgainstModel(0, /*truncate_in_active=*/true, seed);
+  }
+}
+
+TEST(QueryReferenceModel, SegmentedLayoutMatchesBruteForce) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    CheckQueriesAgainstModel(192, /*truncate_in_active=*/false, seed);
+    CheckQueriesAgainstModel(192, /*truncate_in_active=*/true, seed);
+  }
 }
 
 // --- differential determinism: segmentation is a pure layout change ---------

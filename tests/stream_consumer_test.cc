@@ -412,7 +412,9 @@ TEST_F(ConsumerGroupTest, RebalanceDuringInFlightPollBatchesResumesAtCommitted) 
       if (batches.empty()) break;
       for (const auto& rb : batches) {
         for (std::size_t i = 0; i < rb.size(); ++i) {
-          ++seen[rb.MaterializeStored(i).record.TextPayload()];
+          StoredRecord row;
+          rb.MaterializeStored(i, row);
+          ++seen[row.record.TextPayload()];
         }
       }
     }

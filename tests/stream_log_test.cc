@@ -128,7 +128,9 @@ TEST(RecordBatchTest, TraceContextsSurviveAppend) {
   EXPECT_EQ(late.trace_ctx(1).trace_id, 9u);
   EXPECT_EQ(late.trace_ctx(2).trace_id, 0u);
   EXPECT_EQ(late.trace_ctx(6).trace_id, 4005u);
-  EXPECT_EQ(late.MaterializeRecord(1).trace_ctx.trace_id, 9u);
+  Record traced;
+  late.MaterializeRecord(1, traced);
+  EXPECT_EQ(traced.trace_ctx.trace_id, 9u);
 }
 
 TEST(RecordBatchTest, MaterializedRecordsMatchColumns) {
@@ -137,8 +139,11 @@ TEST(RecordBatchTest, MaterializedRecordsMatchColumns) {
   b.set_partition(3);
   const std::vector<StoredRecord> all = b.Materialize();
   ASSERT_EQ(all.size(), b.size());
+  // One destination reused for every row: each build overwrites every
+  // field of the previous one.
+  Record r;
   for (std::size_t i = 0; i < b.size(); ++i) {
-    const Record r = b.MaterializeRecord(i);
+    b.MaterializeRecord(i, r);
     EXPECT_EQ(r.key, b.key(i));
     ASSERT_EQ(r.payload.size(), b.payload_size(i));
     EXPECT_TRUE(std::equal(r.payload.begin(), r.payload.end(), b.payload_data(i)));
