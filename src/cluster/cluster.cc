@@ -1,40 +1,21 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env.h"
 #include "common/log.h"
+#include "common/rng.h"
 #include "common/serialize.h"
 
 namespace arbd::cluster {
 
 std::uint32_t ClusterSizeFromEnv() {
-  const char* env = std::getenv("ARBD_CLUSTER");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) return 1;
-  return static_cast<std::uint32_t>(std::min<unsigned long>(v, 16));
+  const auto v = EnvInt("ARBD_CLUSTER");
+  if (!v || *v < 1) return 1;
+  return static_cast<std::uint32_t>(std::min<std::int64_t>(*v, 16));
 }
 
-bool AutoscaleFromEnv() {
-  const char* env = std::getenv("ARBD_AUTOSCALE");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "1" || v == "true" || v == "on";
-}
-
-namespace {
-
-// SplitMix64 finalizer: the lossy-link drop hash's mixing function.
-constexpr std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
+bool AutoscaleFromEnv() { return EnvFlag("ARBD_AUTOSCALE"); }
 
 BrokerCluster::BrokerCluster(stream::Broker& broker, ClusterConfig cfg)
     : broker_(broker),

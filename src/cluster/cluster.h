@@ -50,7 +50,7 @@ namespace arbd::cluster {
 // environment (core::Platform). Unset or invalid -> 1 (no cluster).
 std::uint32_t ClusterSizeFromEnv();
 
-// ARBD_AUTOSCALE ("1"/"true"): enables controller-driven partition
+// ARBD_AUTOSCALE ("1"/"true"/"on"): enables controller-driven partition
 // split/merge on clusters built from the environment (core::Platform).
 // Only Platform consults this — explicitly-configured clusters (tests,
 // benches, scenarios) opt in through ClusterConfig::autoscale, so turning

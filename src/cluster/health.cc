@@ -1,17 +1,12 @@
 #include "cluster/health.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
+
+#include "common/env.h"
 
 namespace arbd::cluster {
 
-bool HealthFromEnv() {
-  const char* env = std::getenv("ARBD_HEALTH");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "1" || v == "true" || v == "on";
-}
+bool HealthFromEnv() { return EnvFlag("ARBD_HEALTH"); }
 
 namespace {
 

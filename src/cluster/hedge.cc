@@ -1,30 +1,14 @@
 #include "cluster/hedge.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env.h"
+#include "common/rng.h"
 #include "common/serialize.h"
 
 namespace arbd::cluster {
 
-bool HedgeFromEnv() {
-  const char* env = std::getenv("ARBD_HEDGE");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "1" || v == "true" || v == "on";
-}
-
-namespace {
-
-// SplitMix64 finalizer — the secondary-replica pick hash.
-constexpr std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
+bool HedgeFromEnv() { return EnvFlag("ARBD_HEDGE"); }
 
 HedgedReader::HedgedReader(BrokerCluster& cluster, stream::Broker& broker,
                            std::string topic, HedgeConfig cfg, std::uint64_t seed)

@@ -3,21 +3,10 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/rng.h"
 #include "common/serialize.h"
 
 namespace arbd::cluster {
-namespace {
-
-// SplitMix64 finalizer — the same stateless mixer the replication layer
-// uses for elections; good avalanche for ring points.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 HashRing::HashRing(std::uint32_t brokers, std::uint32_t virtual_nodes,
                    std::uint64_t seed)
@@ -26,7 +15,7 @@ HashRing::HashRing(std::uint32_t brokers, std::uint32_t virtual_nodes,
   ring_.reserve(static_cast<std::size_t>(brokers_) * vnodes);
   for (BrokerId b = 0; b < brokers_; ++b) {
     for (std::uint32_t v = 0; v < vnodes; ++v) {
-      ring_.emplace_back(Mix(seed ^ Mix((static_cast<std::uint64_t>(b) << 32) | v)), b);
+      ring_.emplace_back(Mix64(seed ^ Mix64((static_cast<std::uint64_t>(b) << 32) | v)), b);
     }
   }
   std::sort(ring_.begin(), ring_.end());
@@ -106,7 +95,7 @@ TopicPlacement PlaceTopic(const HashRing& ring, const std::string& topic,
   std::vector<std::size_t> leaders_on(ring.brokers(), 0);
   for (stream::PartitionId p = 0; p < partitions; ++p) {
     std::vector<BrokerId> slots =
-        ring.ReplicaSet(Mix(Fnv1a(topic) ^ Mix(p + 1)), placement.factor);
+        ring.ReplicaSet(Mix64(Fnv1a(topic) ^ Mix64(p + 1)), placement.factor);
     // Leader balancing: promote the set member whose broker leads the
     // fewest partitions so far (ring order breaks ties), keeping the rest
     // in ring order as followers.
@@ -182,7 +171,7 @@ TopicPlacement PlaceTopic(const HashRing& ring, const std::string& topic,
 std::vector<BrokerId> PlacePartition(const HashRing& ring, const std::string& topic,
                                      stream::PartitionId pid, std::uint32_t factor) {
   factor = std::max<std::uint32_t>(factor, 1);
-  return ring.ReplicaSet(Mix(Fnv1a(topic) ^ Mix(pid + 1)),
+  return ring.ReplicaSet(Mix64(Fnv1a(topic) ^ Mix64(pid + 1)),
                          std::min(factor, ring.brokers()));
 }
 
@@ -193,7 +182,7 @@ namespace {
 // keys evenly no matter how skewed the bucket assignment was. Bit d of
 // this stream decides the child at trie depth d.
 std::uint64_t RefinementBits(std::uint64_t key_hash) {
-  return Mix(key_hash ^ 0xa17b0a575ca1eULL);
+  return Mix64(key_hash ^ 0xa17b0a575ca1eULL);
 }
 
 std::uint64_t PathMask(std::uint32_t depth) {

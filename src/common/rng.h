@@ -13,6 +13,17 @@
 
 namespace arbd {
 
+// SplitMix64 finalizer (Steele, Lea & Flood): cheap, well-mixed and stable
+// across platforms. Seeds Rng and serves as the stateless hash behind every
+// seeded decision that must not depend on an RNG stream's position —
+// request ids, replica picks, elections, ring points, span ids.
+constexpr std::uint64_t Mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 // xoshiro256** by Blackman & Vigna; public-domain reference algorithm.
 class Rng {
  public:
@@ -20,11 +31,8 @@ class Rng {
     // SplitMix64 seeding as recommended by the xoshiro authors.
     std::uint64_t x = seed;
     for (auto& s : s_) {
+      s = Mix64(x);
       x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
     }
   }
 

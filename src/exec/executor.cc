@@ -1,8 +1,9 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
+
+#include "common/env.h"
 
 namespace arbd::exec {
 
@@ -16,22 +17,12 @@ thread_local std::size_t t_current_worker = 0;
 
 ExecConfig ExecConfig::FromEnv() {
   ExecConfig cfg;
-  if (const char* w = std::getenv("ARBD_EXEC_WORKERS")) {
-    char* end = nullptr;
-    long v = std::strtol(w, &end, 10);
-    if (end != w && v >= 1 && v <= 64) cfg.workers = static_cast<std::size_t>(v);
-  }
-  if (const char* s = std::getenv("ARBD_EXEC_SEED")) {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (end != s) cfg.seed = static_cast<std::uint64_t>(v);
-  }
+  const auto w = EnvInt("ARBD_EXEC_WORKERS");
+  if (w && *w >= 1 && *w <= 64) cfg.workers = static_cast<std::size_t>(*w);
   return cfg;
 }
 
-Executor::Executor(ExecConfig cfg) : cfg_(cfg) {
-  workers_ = std::max<std::size_t>(1, cfg_.workers);
-  cfg_.workers = workers_;
+Executor::Executor(ExecConfig cfg) : workers_(std::max<std::size_t>(1, cfg.workers)) {
   lanes_.reserve(workers_);
   for (std::size_t i = 0; i < workers_; ++i) {
     lanes_.push_back(std::make_unique<Lane>());

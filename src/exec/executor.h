@@ -1,8 +1,8 @@
 // Deterministic multi-worker executor — the concurrency substrate every
 // sharded layer (broker partitions, pipeline stages, per-user frame loops)
 // runs on. The design goal is *controlled* parallelism: for a given
-// {seed, workers} pair a run is bit-identical, and for workloads that keep
-// their shards disjoint the results are identical across worker counts —
+// worker count a run is bit-identical, and for workloads that keep their
+// shards disjoint the results are identical across worker counts —
 // which is what makes parallel scenario runs benchmarkable and lets CI
 // assert digest equality between workers=1 and workers=4.
 //
@@ -13,18 +13,15 @@
 //   - Every task is bound to a `shard`. Tasks of one shard run serially,
 //     in submission order, on worker (shard % workers) — a per-shard run
 //     queue. Distinct shards may interleave arbitrarily, so cross-shard
-//     mutable state must be merged deterministically (exec/merge.h) or be
-//     commutative (atomic counters of integral deltas).
+//     mutable state must land in index-addressed slots the driver folds in
+//     index order after Drain, or be commutative (atomic counters of
+//     integral deltas).
 //   - Each worker keeps a *virtual clock*: tasks carry a modeled cost
 //     (SubmitCost / AddVirtualCost) and the clock advances by cost, never
 //     by wall time. VirtualMakespan() — the max worker clock — is the
 //     modeled parallel completion time; bench_exec (E20) reports modeled
 //     records/sec from it, so scaling numbers are deterministic and do not
 //     depend on the host's core count.
-//   - The seed does not change what is computed; it selects the tie-break
-//     permutation deterministic merges use for equal-time entries
-//     (exec/merge.h), so alternative legal interleavings can be explored
-//     reproducibly (the ExpAR-style controlled-experiment knob).
 //
 // Driver contract: Submit/ParallelFor/Drain are called from one driver
 // thread; tasks may Submit follow-up work (each downstream shard must be
@@ -47,10 +44,10 @@ namespace arbd::exec {
 
 struct ExecConfig {
   std::size_t workers = 1;  // 0 is clamped to 1
-  std::uint64_t seed = 0;   // merge tie-break stream; 0 = natural shard order
+  std::uint64_t seed = 0;   // unread; kept only because perfbench sets it
 
-  // Reads ARBD_EXEC_WORKERS / ARBD_EXEC_SEED (used by CI to run the whole
-  // tier-1 suite at workers=1 and workers=4). Unset or invalid -> defaults.
+  // Reads ARBD_EXEC_WORKERS (1..64; used by CI to run the whole tier-1
+  // suite at workers=1 and workers=4). Unset or invalid -> 1.
   static ExecConfig FromEnv();
 };
 
@@ -62,7 +59,6 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   std::size_t workers() const { return workers_; }
-  std::uint64_t seed() const { return cfg_.seed; }
   std::size_t WorkerFor(std::uint64_t shard) const {
     return static_cast<std::size_t>(shard % workers_);
   }
@@ -114,7 +110,6 @@ class Executor {
   void WorkerLoop(std::size_t index);
   void Enqueue(std::uint64_t shard, Duration cost, std::function<void()> fn);
 
-  ExecConfig cfg_;
   std::size_t workers_ = 1;
   std::vector<std::unique_ptr<Lane>> lanes_;
 

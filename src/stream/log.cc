@@ -1,9 +1,9 @@
 #include "stream/log.h"
-#include <set>
 
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/rng.h"
 
 namespace arbd::stream {
 
@@ -11,17 +11,6 @@ namespace {
 
 // Modeled cost of one broker append on the causal-trace time axis.
 constexpr Duration kProduceCost = Duration::Micros(2);
-
-// Stable request identity for gate admission (ClusterGate::*Request): a
-// SplitMix64 finalizer so adjacent offsets/timestamps land far apart in
-// request-id space. Pure function of the request's content — a retry of
-// the same request carries the same id.
-constexpr std::uint64_t MixRequestId(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 }  // namespace
 
@@ -32,7 +21,7 @@ void Partition::UpdateMirrors() {
   max_event_ns_mirror_.store(max_event_time_.nanos(), std::memory_order_release);
 }
 
-void Partition::MaybeCompactHeadLocked() {
+void Partition::MaybeReclaimHeadLocked() {
   // Reclaim the dead prefix once it outweighs the live rows: one bulk
   // column copy, amortized O(1) per dropped record.
   if (active_head_ < 32 || active_head_ < ActiveLiveLocked()) return;
@@ -104,7 +93,7 @@ std::size_t Partition::AdvanceStartLocked(Offset target) {
     ++start_offset_;
     ++dropped;
   }
-  if (dropped > 0) MaybeCompactHeadLocked();
+  if (dropped > 0) MaybeReclaimHeadLocked();
   return dropped;
 }
 
@@ -206,62 +195,6 @@ std::size_t Partition::TruncateBefore(Offset offset) {
   const std::size_t dropped = AdvanceStartLocked(offset);
   if (dropped > 0) UpdateMirrors();
   return dropped;
-}
-
-std::size_t Partition::CompactKeepLatest() {
-  std::lock_guard<std::mutex> lk(mu_);
-  // Walk live rows from the global tail keeping the first (i.e. newest)
-  // row per key; tombstones mark their key as dead without being retained
-  // themselves. The walk crosses tiers: active first (newest), then
-  // sealed segments newest-to-oldest, skipping the front segment's
-  // truncated-away prefix.
-  std::set<std::string, std::less<>> seen;
-  struct Ref {
-    const RecordBatch* src;
-    std::size_t row;
-  };
-  std::vector<Ref> keep;  // collected newest-first
-  const auto consider = [&](const RecordBatch& src, std::size_t row) {
-    const std::string_view key = src.key(row);
-    if (seen.contains(key)) return;
-    seen.emplace(key);
-    if (src.payload_size(row) == 0) return;  // tombstone: key deleted
-    keep.push_back(Ref{&src, row});
-  };
-  for (std::size_t i = active_.size(); i-- > active_head_;) consider(active_, i);
-  for (auto it = sealed_.rbegin(); it != sealed_.rend(); ++it) {
-    const Segment& seg = **it;
-    const std::size_t first_live =
-        start_offset_ > seg.base_offset()
-            ? static_cast<std::size_t>(start_offset_ - seg.base_offset())
-            : 0;
-    for (std::size_t i = seg.rows(); i-- > first_live;) consider(seg.data(), i);
-  }
-  std::reverse(keep.begin(), keep.end());  // oldest-first, original order
-  const std::size_t removed = LiveLocked() - keep.size();
-  // Rebuild as a single fresh active batch (survivors of a compaction are
-  // typically few), copying consecutive same-source survivors as one
-  // column-range run each. Dense renumbering from the current log start,
-  // exactly like the flat store.
-  RecordBatch kept;
-  for (std::size_t i = 0; i < keep.size();) {
-    std::size_t j = i + 1;
-    while (j < keep.size() && keep[j].src == keep[i].src &&
-           keep[j].row == keep[j - 1].row + 1) {
-      ++j;
-    }
-    kept.AppendRange(*keep[i].src, keep[i].row, j - i);
-    i = j;
-  }
-  sealed_.clear();
-  active_ = std::move(kept);
-  active_head_ = 0;
-  active_dead_bytes_ = 0;
-  front_dead_bytes_ = 0;
-  active_base_ = start_offset_;
-  bytes_ = active_.byte_size();
-  UpdateMirrors();
-  return removed;
 }
 
 PartitionSnapshot Partition::Snapshot(Offset lo, Offset hi, TimePoint t_lo,
@@ -469,12 +402,13 @@ Expected<Offset> Broker::ProduceImpl(const std::string& topic, Topic* t,
   // Cluster routing first: an unreachable leader broker is a routing
   // failure, decided before backpressure or fault draws. The gate consumes
   // no randomness, so fault schedules are unchanged whether or not a
-  // cluster fronts this broker.
+  // cluster fronts this broker. Every gate request id is Mix64 of the
+  // request's content, so a retry of the same request carries the same id.
   if (cluster_gate_ != nullptr) {
     Status admitted = cluster_gate_->AdmitProduceRequest(
         topic, p,
-        MixRequestId(Fnv1a(record.key) ^
-                     static_cast<std::uint64_t>(record.event_time.nanos())));
+        Mix64(Fnv1a(record.key) ^
+              static_cast<std::uint64_t>(record.event_time.nanos())));
     if (!admitted.ok()) return admitted;
   }
   // Budget check next: backpressure is a flow-control decision, not a
@@ -548,8 +482,8 @@ Expected<RecordBatch> Broker::FetchBatch(const std::string& topic, PartitionId p
   if (cluster_gate_ != nullptr) {
     Status admitted = cluster_gate_->AdmitFetchRequest(
         topic, partition,
-        MixRequestId(static_cast<std::uint64_t>(from) ^
-                     (static_cast<std::uint64_t>(partition) << 48)));
+        Mix64(static_cast<std::uint64_t>(from) ^
+              (static_cast<std::uint64_t>(partition) << 48)));
     if (!admitted.ok()) return admitted;
   }
   if (fault_ != nullptr) {
@@ -590,9 +524,9 @@ Expected<QueryResult> Broker::QueryRange(const std::string& topic, PartitionId p
   if (cluster_gate_ != nullptr) {
     Status admitted = cluster_gate_->AdmitFetchRequest(
         topic, partition,
-        MixRequestId(static_cast<std::uint64_t>(lo) ^
-                     (static_cast<std::uint64_t>(hi) << 24) ^
-                     (static_cast<std::uint64_t>(partition) << 56)));
+        Mix64(static_cast<std::uint64_t>(lo) ^
+              (static_cast<std::uint64_t>(hi) << 24) ^
+              (static_cast<std::uint64_t>(partition) << 56)));
     if (!admitted.ok()) return admitted;
   }
   // Deliberately no fault-injector draw: historical queries consume no
@@ -614,9 +548,9 @@ Expected<QueryResult> Broker::QueryTime(const std::string& topic, PartitionId pa
   if (cluster_gate_ != nullptr) {
     Status admitted = cluster_gate_->AdmitFetchRequest(
         topic, partition,
-        MixRequestId(static_cast<std::uint64_t>(t_lo.nanos()) ^
-                     (static_cast<std::uint64_t>(t_hi.nanos()) << 1) ^
-                     (static_cast<std::uint64_t>(partition) << 56)));
+        Mix64(static_cast<std::uint64_t>(t_lo.nanos()) ^
+              (static_cast<std::uint64_t>(t_hi.nanos()) << 1) ^
+              (static_cast<std::uint64_t>(partition) << 56)));
     if (!admitted.ok()) return admitted;
   }
   QueryResult res = stream::QueryTime((*t)->partition(partition), t_lo, t_hi);
@@ -635,8 +569,8 @@ Expected<Offset> Broker::OffsetForTimestamp(const std::string& topic,
   if (cluster_gate_ != nullptr) {
     Status admitted = cluster_gate_->AdmitFetchRequest(
         topic, partition,
-        MixRequestId(static_cast<std::uint64_t>(t.nanos()) ^
-                     (static_cast<std::uint64_t>(partition) << 56)));
+        Mix64(static_cast<std::uint64_t>(t.nanos()) ^
+              (static_cast<std::uint64_t>(partition) << 56)));
     if (!admitted.ok()) return admitted;
   }
   return stream::OffsetForTimestamp((*topic_it)->partition(partition), t);
@@ -657,22 +591,6 @@ Expected<std::size_t> Broker::TruncateBefore(const std::string& topic,
     metrics_->Set("qos.bytes." + topic, static_cast<double>((*t)->TotalBytes()));
   }
   return dropped;
-}
-
-Expected<std::size_t> Broker::Compact(const std::string& topic, PartitionId partition) {
-  auto t = GetTopic(topic);
-  if (!t.ok()) return t.status();
-  if (partition >= (*t)->partition_count()) {
-    return Status::OutOfRange("partition " + std::to_string(partition) + " of topic '" +
-                              topic + "'");
-  }
-  const std::size_t removed = (*t)->partition(partition).CompactKeepLatest();
-  if (metrics_ != nullptr && removed > 0) {
-    metrics_->Set("qos.depth." + topic + ".p" + std::to_string(partition),
-                  static_cast<double>((*t)->partition(partition).size()));
-    metrics_->Set("qos.bytes." + topic, static_cast<double>((*t)->TotalBytes()));
-  }
-  return removed;
 }
 
 std::size_t Broker::Credit(const std::string& topic) const {

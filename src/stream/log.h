@@ -162,12 +162,6 @@ class Partition {
   // dropped; offsets beyond the end clamp to the end.
   std::size_t TruncateBefore(Offset offset);
 
-  // Log compaction: keep only the newest record per key, dropping
-  // tombstoned keys (empty payloads) entirely. Retained records are
-  // renumbered densely from the current log start (see stream/table.h for
-  // the semantics note). Returns records removed.
-  std::size_t CompactKeepLatest();
-
   // Latest event time appended (for watermark generation at the source).
   TimePoint max_event_time() const {
     return TimePoint::FromNanos(max_event_ns_mirror_.load(std::memory_order_acquire));
@@ -210,14 +204,14 @@ class Partition {
   // segments in O(1) when the target passes their end and per-row
   // otherwise. Returns records dropped; caller refreshes mirrors.
   std::size_t AdvanceStartLocked(Offset target);
-  void MaybeCompactHeadLocked(); // rebuild active_ when its dead prefix dominates
+  void MaybeReclaimHeadLocked(); // rebuild active_ when its dead prefix dominates
 
   mutable std::mutex mu_;
   // Sealed run, oldest first; deque for O(1) front drop, shared_ptr so
-  // in-flight query snapshots outlive truncation and compaction.
+  // in-flight query snapshots outlive truncation.
   std::deque<std::shared_ptr<const Segment>> sealed_;
   // Rows [active_head_, active_.size()) are live; [0, active_head_) were
-  // truncated away and are reclaimed lazily by MaybeCompactHeadLocked.
+  // truncated away and are reclaimed lazily by MaybeReclaimHeadLocked.
   RecordBatch active_;
   std::size_t active_head_ = 0;
   Offset active_base_ = 0;   // absolute offset of active_ row active_head_
@@ -361,11 +355,6 @@ class Broker {
   // Advance a partition's log start (consumer-driven queue truncation).
   Expected<std::size_t> TruncateBefore(const std::string& topic, PartitionId partition,
                                        Offset offset);
-
-  // Partition::CompactKeepLatest through the broker, so the depth/byte
-  // gauges are refreshed alongside the data they describe (the free
-  // CompactTopic in stream/table.h operates on a bare Topic and cannot).
-  Expected<std::size_t> Compact(const std::string& topic, PartitionId partition);
 
   // Runs retention across all topics; returns records dropped. Depth/byte
   // gauges of partitions that shed records are refreshed.

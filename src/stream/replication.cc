@@ -1,8 +1,9 @@
 #include "stream/replication.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env.h"
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "stream/batch.h"
 #include "stream/log.h"
@@ -11,30 +12,19 @@ namespace arbd::stream {
 
 namespace {
 
-// SplitMix64 finalizer — the deterministic tie-breaker / subset-size hash.
 // Stateless on purpose: election decisions must depend only on persistent
 // partition state (seed, epoch, committed offset), never on a shared RNG
 // stream whose position varies with unrelated call history.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t Mix3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  return Mix(a ^ Mix(b ^ Mix(c)));
+  return Mix64(a ^ Mix64(b ^ Mix64(c)));
 }
 
 }  // namespace
 
 std::uint32_t ReplicationFactorFromEnv() {
-  const char* raw = std::getenv("ARBD_REPLICAS");
-  if (raw == nullptr || *raw == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw) return 1;
-  return static_cast<std::uint32_t>(std::clamp<long>(v, 1, 8));
+  const auto v = EnvInt("ARBD_REPLICAS");
+  if (!v) return 1;
+  return static_cast<std::uint32_t>(std::clamp<std::int64_t>(*v, 1, 8));
 }
 
 ReplicatedPartition::ReplicatedPartition(std::uint32_t factor,
@@ -414,7 +404,7 @@ Expected<std::pair<PartitionId, Offset>> IdempotentProducer::Send(Record record)
 
 std::uint64_t CommittedDigest(const Partition& partition) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto fold = [&h](std::uint64_t v) { h = Mix(h ^ v); };
+  auto fold = [&h](std::uint64_t v) { h = Mix64(h ^ v); };
   const Offset start = partition.log_start_offset();
   const std::size_t n = partition.size();
   // Columnar walk: fold straight over the fetched batch's zero-copy slices.
@@ -433,8 +423,8 @@ std::uint64_t CommittedDigest(const Partition& partition) {
 std::uint64_t CommittedTopicDigest(Topic& topic) {
   std::uint64_t h = 0x84222325cbf29ce4ULL;
   for (PartitionId p = 0; p < topic.partition_count(); ++p) {
-    h = Mix(h ^ p);
-    h = Mix(h ^ CommittedDigest(topic.partition(p)));
+    h = Mix64(h ^ p);
+    h = Mix64(h ^ CommittedDigest(topic.partition(p)));
   }
   return h;
 }

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <limits>
+
+#include "common/env.h"
 
 namespace arbd::stream {
 
@@ -14,12 +15,9 @@ namespace {
 std::atomic<long long> g_segment_bytes{-1};
 
 std::size_t ReadSegmentBytesEnv() {
-  const char* raw = std::getenv("ARBD_SEGMENT_BYTES");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || v <= 0) return 0;
-  return static_cast<std::size_t>(v);
+  const auto v = EnvInt("ARBD_SEGMENT_BYTES");
+  if (!v || *v <= 0) return 0;
+  return static_cast<std::size_t>(*v);
 }
 
 }  // namespace

@@ -38,7 +38,7 @@
 namespace arbd::stream {
 
 // ARBD_SEGMENT_BYTES: target sealed-segment size in key+payload bytes.
-// Unset/"0"/invalid -> 0 (segmentation off: the flat single-batch store,
+// Unset/"0"/not a whole number (e.g. "64k") -> 0 (segmentation off: the flat single-batch store,
 // byte-identical to the pre-segment partition). The value is cached on
 // first read, so the flag costs one relaxed load on the append path.
 std::size_t SegmentBytesTarget();

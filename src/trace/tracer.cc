@@ -1,24 +1,16 @@
 #include "trace/tracer.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <thread>
 
+#include "common/env.h"
+#include "common/rng.h"
 #include "common/serialize.h"
 
 namespace arbd::trace {
 
 namespace {
-
-// SplitMix64 finalizer: cheap, well-mixed, and stable across platforms.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t HashName(const std::string& name) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -33,16 +25,11 @@ std::uint64_t HashName(const std::string& name) {
 
 TracerConfig TracerConfig::FromEnv() {
   TracerConfig cfg;
-  const char* on = std::getenv("ARBD_TRACE");
-  cfg.enabled = on != nullptr && (std::strcmp(on, "1") == 0 || std::strcmp(on, "true") == 0);
-  if (const char* ring = std::getenv("ARBD_TRACE_RING")) {
-    const long v = std::strtol(ring, nullptr, 10);
-    if (v > 0) cfg.ring_capacity = static_cast<std::size_t>(v);
-  }
-  if (const char* seed = std::getenv("ARBD_TRACE_SEED")) {
-    const unsigned long long v = std::strtoull(seed, nullptr, 10);
-    if (v != 0) cfg.seed = static_cast<std::uint64_t>(v);
-  }
+  cfg.enabled = EnvFlag("ARBD_TRACE");
+  const auto ring = EnvInt("ARBD_TRACE_RING");
+  if (ring && *ring > 0) cfg.ring_capacity = static_cast<std::size_t>(*ring);
+  const auto seed = EnvInt("ARBD_TRACE_SEED");
+  if (seed && *seed != 0) cfg.seed = static_cast<std::uint64_t>(*seed);
   return cfg;
 }
 

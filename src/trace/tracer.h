@@ -77,7 +77,8 @@ struct TracerConfig {
   std::size_t ring_capacity = 16384;
   std::uint64_t seed = 0x7ace5eedULL;
 
-  // Reads ARBD_TRACE (1/true enables), ARBD_TRACE_RING, ARBD_TRACE_SEED.
+  // Reads ARBD_TRACE (1/true/on enables), ARBD_TRACE_RING, ARBD_TRACE_SEED
+  // (common/env.h parses each).
   static TracerConfig FromEnv();
 };
 

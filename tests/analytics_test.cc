@@ -1,175 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-#include <set>
-#include <string>
-#include <vector>
-
-#include "analytics/sketches.h"
 #include "analytics/stats.h"
 #include "common/rng.h"
 
 namespace arbd::analytics {
 namespace {
-
-TEST(CountMin, NeverUnderestimates) {
-  CountMinSketch cms(0.01, 0.01);
-  std::map<std::string, std::uint64_t> truth;
-  Rng rng(1);
-  ZipfGenerator zipf(200, 1.1);
-  for (int i = 0; i < 20'000; ++i) {
-    const std::string key = "k" + std::to_string(zipf.Next(rng));
-    cms.Add(key);
-    truth[key]++;
-  }
-  for (const auto& [key, count] : truth) {
-    EXPECT_GE(cms.Estimate(key), count) << key;
-  }
-}
-
-TEST(CountMin, ErrorWithinEpsilonBound) {
-  const double eps = 0.005;
-  CountMinSketch cms(eps, 0.01);
-  std::map<std::string, std::uint64_t> truth;
-  Rng rng(2);
-  for (int i = 0; i < 50'000; ++i) {
-    const std::string key = "k" + std::to_string(rng.NextBelow(1000));
-    cms.Add(key);
-    truth[key]++;
-  }
-  std::size_t violations = 0;
-  for (const auto& [key, count] : truth) {
-    if (cms.Estimate(key) > count + static_cast<std::uint64_t>(eps * 50'000 * 2)) {
-      ++violations;
-    }
-  }
-  EXPECT_LT(violations, truth.size() / 50);
-}
-
-TEST(CountMin, UnseenKeyUsuallyZeroish) {
-  CountMinSketch cms(0.001, 0.01);
-  for (int i = 0; i < 100; ++i) cms.Add("seen" + std::to_string(i));
-  EXPECT_LE(cms.Estimate("never"), 2u);
-}
-
-TEST(CountMin, MergeSums) {
-  CountMinSketch a(0.01, 0.01), b(0.01, 0.01);
-  a.Add("x", 5);
-  b.Add("x", 7);
-  a.Merge(b);
-  EXPECT_GE(a.Estimate("x"), 12u);
-  EXPECT_EQ(a.total(), 12u);
-}
-
-TEST(CountMin, MergeDimensionMismatchThrows) {
-  CountMinSketch a(0.01, 0.01), b(0.1, 0.01);
-  EXPECT_THROW(a.Merge(b), std::invalid_argument);
-}
-
-TEST(CountMin, RejectsBadParameters) {
-  EXPECT_THROW(CountMinSketch(0.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(CountMinSketch(0.5, 1.5), std::invalid_argument);
-}
-
-TEST(Hll, AccurateWithinFewPercent) {
-  HyperLogLog hll(14);
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) hll.Add("user-" + std::to_string(i));
-  EXPECT_NEAR(hll.Estimate(), n, n * 0.03);
-}
-
-TEST(Hll, DuplicatesDoNotInflate) {
-  HyperLogLog hll(12);
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 1000; ++i) hll.Add("u" + std::to_string(i));
-  }
-  EXPECT_NEAR(hll.Estimate(), 1000.0, 80.0);
-}
-
-TEST(Hll, SmallRangeLinearCounting) {
-  HyperLogLog hll(12);
-  for (int i = 0; i < 10; ++i) hll.Add("v" + std::to_string(i));
-  EXPECT_NEAR(hll.Estimate(), 10.0, 1.5);
-}
-
-TEST(Hll, MergeIsUnion) {
-  HyperLogLog a(12), b(12);
-  for (int i = 0; i < 5000; ++i) a.Add("a" + std::to_string(i));
-  for (int i = 0; i < 5000; ++i) b.Add("b" + std::to_string(i));
-  a.Merge(b);
-  EXPECT_NEAR(a.Estimate(), 10'000.0, 600.0);
-}
-
-TEST(Hll, RejectsBadPrecision) {
-  EXPECT_THROW(HyperLogLog(2), std::invalid_argument);
-  EXPECT_THROW(HyperLogLog(20), std::invalid_argument);
-}
-
-TEST(TopKTest, FindsHeavyHitters) {
-  TopK topk(50);
-  Rng rng(3);
-  ZipfGenerator zipf(1000, 1.3);
-  std::map<std::string, std::uint64_t> truth;
-  for (int i = 0; i < 100'000; ++i) {
-    const std::string key = "item" + std::to_string(zipf.Next(rng));
-    topk.Add(key);
-    truth[key]++;
-  }
-  // True top-5 must all appear in the sketch's top-10.
-  std::vector<std::pair<std::uint64_t, std::string>> ranked;
-  for (const auto& [k, c] : truth) ranked.emplace_back(c, k);
-  std::sort(ranked.rbegin(), ranked.rend());
-  std::set<std::string> sketch_top;
-  for (const auto& e : topk.Top(10)) sketch_top.insert(e.key);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(sketch_top.contains(ranked[static_cast<std::size_t>(i)].second))
-        << ranked[static_cast<std::size_t>(i)].second;
-  }
-}
-
-TEST(TopKTest, CapacityBoundsTracking) {
-  TopK topk(10);
-  for (int i = 0; i < 1000; ++i) topk.Add("k" + std::to_string(i));
-  EXPECT_LE(topk.tracked(), 10u);
-}
-
-TEST(TopKTest, ErrorBoundsReported) {
-  TopK topk(2);
-  topk.Add("a", 10);
-  topk.Add("b", 5);
-  topk.Add("c");  // evicts b, inherits its count as error
-  const auto top = topk.Top(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].key, "a");
-  EXPECT_EQ(top[1].key, "c");
-  EXPECT_EQ(top[1].count, 6u);
-  EXPECT_EQ(top[1].error, 5u);
-}
-
-TEST(Reservoir, KeepsAllWhenUnderCapacity) {
-  ReservoirSample<int> r(10, 1);
-  for (int i = 0; i < 5; ++i) r.Add(i);
-  EXPECT_EQ(r.items().size(), 5u);
-}
-
-TEST(Reservoir, UniformInclusionProbability) {
-  // Each of 1000 items should land in a 100-slot reservoir ~10% of the
-  // time; check one item across many trials.
-  int included = 0;
-  for (std::uint64_t trial = 0; trial < 300; ++trial) {
-    ReservoirSample<int> r(100, trial);
-    for (int i = 0; i < 1000; ++i) r.Add(i);
-    for (int v : r.items()) {
-      if (v == 500) {
-        ++included;
-        break;
-      }
-    }
-  }
-  EXPECT_NEAR(included / 300.0, 0.1, 0.05);
-}
 
 TEST(StreamingStatsTest, MatchesClosedForm) {
   StreamingStats s;

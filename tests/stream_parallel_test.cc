@@ -2,10 +2,9 @@
 // assignment makes the produced log independent of worker count and of
 // the storage mode (flat or segmented log), budget rejections are counted
 // the same at every replication factor, fetches that straddle a truncated
-// or compacted log start return exactly the surviving rows, and a fetch
-// landing below the log start returns the structured OutOfRange
-// [log_start, end) range — the payload consumer auto-reset repositioning
-// depends on.
+// log start return exactly the surviving rows, and a fetch landing below
+// the log start returns the structured OutOfRange [log_start, end) range —
+// the payload consumer auto-reset repositioning depends on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -168,42 +167,6 @@ TEST(StreamParallel, FetchBelowTruncatedStartCarriesRangeInBothModes) {
   for (std::size_t i = 0; i < ok_rec->size(); ++i) {
     EXPECT_EQ((*ok_rec)[i].record.key, ok_batch->key(i));
     EXPECT_EQ((*ok_rec)[i].offset, ok_batch->base_offset() + static_cast<Offset>(i));
-  }
-}
-
-TEST(StreamParallel, ParallelFetchAllStraddlesCompactedLog) {
-  // Duplicate keys + a tombstone, compacted, then fetched: exactly the
-  // newest surviving row per key, densely renumbered.
-  SimClock clock;
-  Broker broker(clock);
-  exec::Executor ex(Cfg(2));
-  TopicConfig tc;
-  tc.partitions = 1;
-  ASSERT_TRUE(broker.CreateTopic("par.compact", tc).ok());
-  for (int round = 0; round < 3; ++round) {
-    for (int k = 0; k < 6; ++k) {
-      (void)broker.ProduceToPartition(
-          "par.compact", 0,
-          Record::MakeText("key" + std::to_string(k), "r" + std::to_string(round),
-                           clock.Now()));
-    }
-  }
-  // Tombstone key5, then compact.
-  (void)broker.ProduceToPartition("par.compact", 0, Record::Make("key5", {}, clock.Now()));
-  auto topic = broker.GetTopic("par.compact");
-  ASSERT_TRUE(topic.ok());
-  const std::size_t removed = (*topic)->partition(0).CompactKeepLatest();
-  EXPECT_GT(removed, 0u);
-  const auto fetched = ParallelFetchAll(ex, broker, "par.compact", 1024,
-                                        Duration::Micros(1));
-  ASSERT_EQ(fetched.size(), 1u);
-  ASSERT_EQ(fetched[0].size(), 5u);  // key5 tombstoned away
-  for (std::size_t i = 0; i < fetched[0].size(); ++i) {
-    const StoredRecord& sr = fetched[0][i];
-    EXPECT_EQ(sr.partition, 0u);
-    EXPECT_EQ(sr.offset, (*topic)->partition(0).log_start_offset() + static_cast<Offset>(i));
-    EXPECT_EQ(sr.record.key, "key" + std::to_string(i));
-    EXPECT_EQ(sr.record.TextPayload(), "r2");
   }
 }
 
