@@ -23,9 +23,11 @@
 //         routed through the cluster's key-range router at brokers {2,4}
 //         x workers {1,4} commits four identical digests.
 //
-//   E26d: gate parity — the autoscale soak with the autoscaler off
-//         reproduces the flat E24 soak digest bit for bit (rolling kills
-//         included): ARBD_AUTOSCALE=0 is a structural passthrough.
+//   E26d: gate parity — the soak with the autoscaler armed but idle (a
+//         split threshold above any per-tick rate) reproduces the
+//         autoscaler-off digest and ack count bit for bit (rolling kills
+//         included): arming the autoscaler (ARBD_AUTOSCALE=1) is a
+//         structural passthrough until it acts.
 //
 // `--quick` runs reduced schedule counts with the same checks and no
 // google-benchmark timings — the CI autoscale smoke. Exit code = failures.
@@ -33,13 +35,14 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench/table.h"
 #include "common/rng.h"
 #include "exec/executor.h"
-#include "scenarios/autoscale.h"
+#include "scenarios/cluster.h"
 #include "stream/log.h"
 #include "stream/parallel.h"
 
@@ -58,29 +61,29 @@ struct CheckList {
 // The E26 hotspot run: a diurnal fleet with a mid-period flash crowd over
 // the top four POIs, produced in large turns so per-tick partition rates
 // are meaningful to the autoscaler.
-scenarios::AutoscaleSoakConfig HotspotConfig() {
-  scenarios::AutoscaleSoakConfig cfg;
-  cfg.base.brokers = 3;
-  cfg.base.partitions = 2;
-  cfg.base.replication_factor = 2;
-  cfg.base.consumers = 3;
-  cfg.base.rolling_kill = false;
-  cfg.base.fleet.users = 2000;
-  cfg.base.fleet.hotspots = 32;
-  cfg.base.fleet.ticks = 24;
-  cfg.base.fleet.peak_events_per_tick = 80;
-  cfg.base.fleet.seed = 11;
-  cfg.base.fleet.surge_start_tick = 6;
-  cfg.base.fleet.surge_ticks = 14;
-  cfg.base.fleet.surge_boost = 3.0;
-  cfg.base.fleet.surge_pois = 4;
-  cfg.base.produce_chunk = 64;
-  cfg.base.seed = 1;
-  cfg.autoscale = true;
-  cfg.thresholds.split_rate_threshold = 24;
-  cfg.thresholds.merge_rate_threshold = 2;
-  cfg.thresholds.merge_cold_ticks = 10;
-  cfg.thresholds.max_partitions = 32;
+scenarios::ClusterSoakConfig HotspotConfig() {
+  scenarios::ClusterSoakConfig cfg;
+  cfg.brokers = 3;
+  cfg.partitions = 2;
+  cfg.replication_factor = 2;
+  cfg.consumers = 3;
+  cfg.rolling_kill = false;
+  cfg.fleet.users = 2000;
+  cfg.fleet.hotspots = 32;
+  cfg.fleet.ticks = 24;
+  cfg.fleet.peak_events_per_tick = 80;
+  cfg.fleet.seed = 11;
+  cfg.fleet.surge_start_tick = 6;
+  cfg.fleet.surge_ticks = 14;
+  cfg.fleet.surge_boost = 3.0;
+  cfg.fleet.surge_pois = 4;
+  cfg.produce_chunk = 64;
+  cfg.seed = 1;
+  cfg.autoscale.enabled = true;
+  cfg.autoscale.split_rate_threshold = 24;
+  cfg.autoscale.merge_rate_threshold = 2;
+  cfg.autoscale.merge_cold_ticks = 10;
+  cfg.autoscale.max_partitions = 32;
   return cfg;
 }
 
@@ -89,32 +92,31 @@ int RunExperiment(bool quick) {
 
   // --- E26a: hotspot relief --------------------------------------------
   {
-    const scenarios::AutoscaleSoakConfig cfg = HotspotConfig();
-    auto rep = scenarios::RunAutoscaleSoak(cfg);
+    const scenarios::ClusterSoakConfig cfg = HotspotConfig();
+    auto rep = scenarios::RunClusterSoak(cfg);
     if (!rep.ok()) {
       std::printf("hotspot soak failed: %s\n", rep.status().ToString().c_str());
       return 1;
     }
     bench::Table table({"acked", "splits", "merges", "final_parts", "live_leaves",
                         "hot_p99_before", "hot_p99_after", "loss", "dups", "gaps"});
-    table.Row({bench::FmtInt(rep->soak.acked), bench::FmtInt(rep->splits),
-               bench::FmtInt(rep->merges), bench::FmtInt(rep->final_partitions),
+    table.Row({bench::FmtInt(rep->acked), bench::FmtInt(rep->cluster.splits),
+               bench::FmtInt(rep->cluster.merges), bench::FmtInt(rep->final_partitions),
                bench::FmtInt(rep->live_leaves),
                bench::Fmt("%.0f", rep->hot_p99_before),
                bench::Fmt("%.0f", rep->hot_p99_after),
-               bench::FmtInt(rep->soak.committed_loss),
-               bench::FmtInt(rep->soak.log_duplicates +
-                             rep->soak.delivered_duplicates),
-               bench::FmtInt(rep->soak.delivery_gaps)});
+               bench::FmtInt(rep->committed_loss),
+               bench::FmtInt(rep->log_duplicates + rep->delivered_duplicates),
+               bench::FmtInt(rep->delivery_gaps)});
     table.Print("E26a flash crowd -> split -> hot-partition relief");
-    checks.Check(rep->splits > 0, "hotspot: the flash crowd tripped a split");
-    checks.Check(rep->soak.committed_loss == 0 && rep->soak.log_duplicates == 0,
+    checks.Check(rep->cluster.splits > 0, "hotspot: the flash crowd tripped a split");
+    checks.Check(rep->committed_loss == 0 && rep->log_duplicates == 0,
                  "hotspot: zero loss, zero log duplicates across the handoff");
-    checks.Check(rep->soak.delivered_duplicates == 0 && rep->soak.delivery_gaps == 0,
+    checks.Check(rep->delivered_duplicates == 0 && rep->delivery_gaps == 0,
                  "hotspot: exactly-once delivery across the rebalance onto children");
-    checks.Check(rep->soak.controller_consistent,
+    checks.Check(rep->controller_consistent,
                  "hotspot: metadata replay reproduces live routing (router digested)");
-    checks.Check(!rep->soak.wedged, "hotspot: the run drained");
+    checks.Check(!rep->wedged, "hotspot: the run drained");
     checks.Check(rep->hot_p99_after <= 0.7 * rep->hot_p99_before,
                  "hotspot: post-split hot-partition p99 ingest <= 0.7x pre-split");
   }
@@ -127,63 +129,60 @@ int RunExperiment(bool quick) {
     bool none_wedged = true, controllers_consistent = true;
     for (std::size_t i = 0; i < n_schedules; ++i) {
       Rng rng(0xe26bULL + i);
-      scenarios::AutoscaleSoakConfig cfg = HotspotConfig();
-      cfg.base.seed = 100 + i;
-      cfg.base.fleet.seed = 31 * i + 7;
-      cfg.base.brokers = static_cast<std::uint32_t>(2 + rng.NextBelow(5));
-      cfg.base.rolling_kill = true;
-      cfg.base.kill_start_tick = 1 + rng.NextBelow(4);
-      cfg.base.kill_spacing_ticks = 2 + rng.NextBelow(5);
-      cfg.base.restore_ticks = 3 + rng.NextBelow(6);
-      cfg.thresholds.split_rate_threshold = 24 + rng.NextBelow(48);
-      cfg.thresholds.merge_cold_ticks = 4 + static_cast<std::uint32_t>(rng.NextBelow(8));
+      scenarios::ClusterSoakConfig cfg = HotspotConfig();
+      cfg.seed = 100 + i;
+      cfg.fleet.seed = 31 * i + 7;
+      cfg.brokers = static_cast<std::uint32_t>(2 + rng.NextBelow(5));
+      cfg.rolling_kill = true;
+      cfg.kill_start_tick = 1 + rng.NextBelow(4);
+      cfg.kill_spacing_ticks = 2 + rng.NextBelow(5);
+      cfg.restore_ticks = 3 + rng.NextBelow(6);
+      cfg.autoscale.split_rate_threshold = 24 + rng.NextBelow(48);
+      cfg.autoscale.merge_cold_ticks = 4 + static_cast<std::uint32_t>(rng.NextBelow(8));
       // Half the schedules force splits/merges at chaos-chosen ticks on
       // top of the thresholds — handoffs landing while leaders are dead.
       if (i % 2 == 0) {
-        cfg.base.fault_spec = "autosplit@p=0.10;automerge@p=0.06";
-        cfg.base.fault_seed = 1000 + i;
+        cfg.fault_spec = "autosplit@p=0.10;automerge@p=0.06";
+        cfg.fault_seed = 1000 + i;
       }
       // Every fourth schedule drops to factor 1: kills then open real
       // unavailability windows (no instant failover), so forced splits
       // land while sends are backing off and the seal check migrates the
       // in-flight (pid, seq) onto a child — the handoff path under test.
       if (i % 4 == 0) {
-        cfg.base.replication_factor = 1;
-        cfg.base.fault_spec = "autosplit@p=0.60;automerge@p=0.06";
-        cfg.base.fault_seed = 1000 + i;
+        cfg.replication_factor = 1;
+        cfg.fault_spec = "autosplit@p=0.60;automerge@p=0.06";
+        cfg.fault_seed = 1000 + i;
       }
-      auto rep = scenarios::RunAutoscaleSoak(cfg);
+      auto rep = scenarios::RunClusterSoak(cfg);
       if (!rep.ok()) {
         std::printf("autoscale churn (seed=%llu) failed: %s\n",
-                    static_cast<unsigned long long>(cfg.base.seed),
+                    static_cast<unsigned long long>(cfg.seed),
                     rep.status().ToString().c_str());
         return 1;
       }
-      if (rep->soak.committed_loss || rep->soak.log_duplicates ||
-          rep->soak.delivered_duplicates || rep->soak.delivery_gaps ||
-          rep->soak.wedged || !rep->soak.controller_consistent) {
+      if (!rep->AuditClean()) {
         std::printf(
             "  schedule %zu dirty: brokers=%u factor=%u loss=%llu dups=%llu/%llu "
             "gaps=%llu wedged=%d consistent=%d faults=\"%s\"\n",
-            i, cfg.base.brokers, cfg.base.replication_factor,
-            static_cast<unsigned long long>(rep->soak.committed_loss),
-            static_cast<unsigned long long>(rep->soak.log_duplicates),
-            static_cast<unsigned long long>(rep->soak.delivered_duplicates),
-            static_cast<unsigned long long>(rep->soak.delivery_gaps),
-            rep->soak.wedged ? 1 : 0, rep->soak.controller_consistent ? 1 : 0,
-            cfg.base.fault_spec.c_str());
+            i, cfg.brokers, cfg.replication_factor,
+            static_cast<unsigned long long>(rep->committed_loss),
+            static_cast<unsigned long long>(rep->log_duplicates),
+            static_cast<unsigned long long>(rep->delivered_duplicates),
+            static_cast<unsigned long long>(rep->delivery_gaps),
+            rep->wedged ? 1 : 0, rep->controller_consistent ? 1 : 0,
+            cfg.fault_spec.c_str());
       }
-      loss += rep->soak.committed_loss;
-      log_dups += rep->soak.log_duplicates;
-      out_dups += rep->soak.delivered_duplicates;
-      gaps += rep->soak.delivery_gaps;
-      kills += rep->soak.cluster.kills;
-      splits += rep->splits;
-      merges += rep->merges;
+      loss += rep->committed_loss;
+      log_dups += rep->log_duplicates;
+      out_dups += rep->delivered_duplicates;
+      gaps += rep->delivery_gaps;
+      kills += rep->cluster.kills;
+      splits += rep->cluster.splits;
+      merges += rep->cluster.merges;
       handoffs += rep->producer_handoffs;
-      none_wedged = none_wedged && !rep->soak.wedged;
-      controllers_consistent =
-          controllers_consistent && rep->soak.controller_consistent;
+      none_wedged = none_wedged && !rep->wedged;
+      controllers_consistent = controllers_consistent && rep->controller_consistent;
     }
     bench::Table table({"schedules", "kills", "splits", "merges", "handoffs",
                         "loss", "log_dups", "deliv_dups", "gaps"});
@@ -215,20 +214,20 @@ int RunExperiment(bool quick) {
     std::vector<std::uint64_t> digests;
     bench::Table table({"brokers", "acked", "splits", "digest"});
     for (const std::uint32_t brokers : broker_counts) {
-      scenarios::AutoscaleSoakConfig cfg = HotspotConfig();
-      cfg.base.brokers = brokers;
-      auto rep = scenarios::RunAutoscaleSoak(cfg);
+      scenarios::ClusterSoakConfig cfg = HotspotConfig();
+      cfg.brokers = brokers;
+      auto rep = scenarios::RunClusterSoak(cfg);
       if (!rep.ok()) {
         std::printf("digest soak (brokers=%u) failed: %s\n", brokers,
                     rep.status().ToString().c_str());
         return 1;
       }
-      digests.push_back(rep->soak.committed_digest);
+      digests.push_back(rep->committed_digest);
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%016llx",
                     static_cast<unsigned long long>(digests.back()));
-      table.Row({bench::FmtInt(brokers), bench::FmtInt(rep->soak.acked),
-                 bench::FmtInt(rep->splits), buf});
+      table.Row({bench::FmtInt(brokers), bench::FmtInt(rep->acked),
+                 bench::FmtInt(rep->cluster.splits), buf});
     }
     table.Print("E26c-i committed digest across broker counts (autoscaled, no kills)");
     checks.Check(digests[0] == digests[1] && digests[0] != 0,
@@ -296,32 +295,37 @@ int RunExperiment(bool quick) {
 
   // --- E26d: gate parity ------------------------------------------------
   {
-    scenarios::AutoscaleSoakConfig cfg = HotspotConfig();
-    cfg.base.rolling_kill = true;
-    cfg.base.kill_spacing_ticks = 4;
-    cfg.base.restore_ticks = 6;
-    cfg.autoscale = false;
-    auto off = scenarios::RunAutoscaleSoak(cfg);
-    auto flat = scenarios::RunClusterSoak(cfg.base);
-    if (!off.ok() || !flat.ok()) {
-      std::printf("gate parity runs failed\n");
-      return 1;
-    }
+    scenarios::ClusterSoakConfig off = HotspotConfig();
+    off.rolling_kill = true;
+    off.kill_spacing_ticks = 4;
+    off.restore_ticks = 6;
+    off.autoscale.enabled = false;
+    scenarios::ClusterSoakConfig idle = off;
+    idle.autoscale.enabled = true;
+    idle.autoscale.split_rate_threshold = std::numeric_limits<std::uint64_t>::max();
     bench::Table table({"run", "acked", "splits", "handoffs", "digest"});
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(off->soak.committed_digest));
-    table.Row({"autoscale off", bench::FmtInt(off->soak.acked),
-               bench::FmtInt(off->splits), bench::FmtInt(off->producer_handoffs),
-               buf});
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(flat->committed_digest));
-    table.Row({"flat E24 soak", bench::FmtInt(flat->acked), "-", "-", buf});
-    table.Print("E26d ARBD_AUTOSCALE=0 parity with the flat cluster soak");
-    checks.Check(off->soak.committed_digest == flat->committed_digest &&
-                     off->splits == 0 && off->producer_handoffs == 0,
-                 "autoscale off is a structural passthrough (digest-identical "
-                 "to the flat soak, zero splits, zero handoffs)");
+    std::vector<scenarios::ClusterSoakReport> reps;
+    for (const auto* cfg : {&off, &idle}) {
+      auto rep = scenarios::RunClusterSoak(*cfg);
+      if (!rep.ok()) {
+        std::printf("gate parity run failed: %s\n", rep.status().ToString().c_str());
+        return 1;
+      }
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%016llx",
+                    static_cast<unsigned long long>(rep->committed_digest));
+      table.Row({cfg == &off ? "autoscale off" : "armed, idle",
+                 bench::FmtInt(rep->acked), bench::FmtInt(rep->cluster.splits),
+                 bench::FmtInt(rep->producer_handoffs), buf});
+      reps.push_back(*rep);
+    }
+    table.Print("E26d ARBD_AUTOSCALE parity: armed but idle vs off");
+    checks.Check(reps[0].committed_digest == reps[1].committed_digest &&
+                     reps[0].acked == reps[1].acked &&
+                     reps[0].cluster.splits == 0 && reps[1].cluster.splits == 0 &&
+                     reps[0].producer_handoffs == 0 && reps[1].producer_handoffs == 0,
+                 "an armed autoscaler that never fires is a structural passthrough "
+                 "(digest- and ack-identical to off, zero splits, zero handoffs)");
   }
 
   std::printf("\nE26 verdict: %s (%d failing check%s)\n",
@@ -334,10 +338,10 @@ void BM_AutoscaleSoak(benchmark::State& state) {
   const bool autoscale = state.range(0) != 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    scenarios::AutoscaleSoakConfig cfg = HotspotConfig();
-    cfg.autoscale = autoscale;
-    cfg.base.seed = seed++;
-    auto rep = scenarios::RunAutoscaleSoak(cfg);
+    scenarios::ClusterSoakConfig cfg = HotspotConfig();
+    cfg.autoscale.enabled = autoscale;
+    cfg.seed = seed++;
+    auto rep = scenarios::RunClusterSoak(cfg);
     benchmark::DoNotOptimize(rep);
   }
 }

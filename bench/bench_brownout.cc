@@ -46,7 +46,7 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "exec/executor.h"
-#include "scenarios/brownout.h"
+#include "scenarios/cluster.h"
 #include "stream/log.h"
 #include "stream/parallel.h"
 
@@ -62,17 +62,23 @@ struct CheckList {
   }
 };
 
-scenarios::BrownoutSoakConfig BaseConfig() {
-  scenarios::BrownoutSoakConfig cfg;
+scenarios::ClusterSoakConfig BaseConfig() {
+  scenarios::ClusterSoakConfig cfg;
   cfg.brokers = 4;
   cfg.partitions = 8;
   cfg.replication_factor = 3;
   cfg.consumers = 2;
+  cfg.rolling_kill = false;
   cfg.fleet.users = 2000;
   cfg.fleet.hotspots = 32;
   cfg.fleet.ticks = 16;
   cfg.fleet.peak_events_per_tick = 60;
   cfg.fleet.seed = 11;
+  // A default 8x brownout of broker 0 from tick 2, every turn one 33 ms
+  // AR frame with a 32-row hedged read per partition.
+  cfg.slow_at_tick = 2;
+  cfg.frame_budget = Duration::Millis(33);
+  cfg.read_batch = 32;
   cfg.seed = 1;
   return cfg;
 }
@@ -94,7 +100,7 @@ int RunExperiment(bool quick) {
   // Read-dominant frames (tiny produce chunk, 8 per-partition reads)
   // against a deep brownout covering the whole run; the budget sits
   // between the hedged and unhedged read bills for victim-led partitions.
-  scenarios::BrownoutSoakConfig acfg = BaseConfig();
+  scenarios::ClusterSoakConfig acfg = BaseConfig();
   acfg.produce_chunk = 2;
   acfg.slow_at_tick = 1;
   acfg.slow_broker = 0;
@@ -102,14 +108,14 @@ int RunExperiment(bool quick) {
   acfg.slow_ticks = 400;  // never expires within the run
   acfg.frame_budget = Duration::Millis(8);
 
-  auto a_off = scenarios::RunBrownoutSoak(acfg);
+  auto a_off = scenarios::RunClusterSoak(acfg);
   auto a_cfg_on = acfg;
   a_cfg_on.hedge.enabled = true;
   // A quarter of all reads hit the browned-out leader, so the default p95
   // hedge delay would chase the brownout itself; hedge at p70 instead
   // (still above every healthy op, far below the 16x victim).
   a_cfg_on.hedge.quantile = 0.7;
-  auto a_on = scenarios::RunBrownoutSoak(a_cfg_on);
+  auto a_on = scenarios::RunClusterSoak(a_cfg_on);
   if (!a_off.ok() || !a_on.ok()) {
     std::printf("E27a soak failed: %s\n",
                 (!a_off.ok() ? a_off.status() : a_on.status()).ToString().c_str());
@@ -138,7 +144,7 @@ int RunExperiment(bool quick) {
   // leaderships and the overall read p99 is the browned-out latency.
   // Health on: demotion drains the victim within a few ticks, so reads
   // issued after the first demotion pay base latency again.
-  scenarios::BrownoutSoakConfig bcfg = BaseConfig();
+  scenarios::ClusterSoakConfig bcfg = BaseConfig();
   bcfg.frame_budget = Duration::Zero();
   bcfg.slow_at_tick = 1;
   bcfg.slow_broker = 0;
@@ -146,10 +152,10 @@ int RunExperiment(bool quick) {
   bcfg.slow_ticks = 8;  // expires mid-run so recovery can land
   bcfg.health.recover_ticks = 2;
 
-  auto b_off = scenarios::RunBrownoutSoak(bcfg);
+  auto b_off = scenarios::RunClusterSoak(bcfg);
   auto b_cfg_on = bcfg;
   b_cfg_on.health.enabled = true;
-  auto b_on = scenarios::RunBrownoutSoak(b_cfg_on);
+  auto b_on = scenarios::RunClusterSoak(b_cfg_on);
   if (!b_off.ok() || !b_on.ok()) {
     std::printf("E27b soak failed: %s\n",
                 (!b_off.ok() ? b_off.status() : b_on.status()).ToString().c_str());
@@ -184,7 +190,7 @@ int RunExperiment(bool quick) {
   bool none_wedged = true, controllers_consistent = true;
   for (std::size_t i = 0; i < n_schedules; ++i) {
     Rng rng(0xe27cULL + i);
-    scenarios::BrownoutSoakConfig cfg = BaseConfig();
+    scenarios::ClusterSoakConfig cfg = BaseConfig();
     cfg.seed = 100 + i;
     cfg.brokers = static_cast<std::uint32_t>(2 + rng.NextBelow(7));
     cfg.frame_budget = Duration::Zero();  // lossless regime: audits exact
@@ -201,7 +207,7 @@ int RunExperiment(bool quick) {
     cfg.restore_ticks = 3 + rng.NextBelow(6);
     cfg.hedge.enabled = rng.Bernoulli(0.5);
     cfg.health.enabled = rng.Bernoulli(0.5);
-    auto rep = scenarios::RunBrownoutSoak(cfg);
+    auto rep = scenarios::RunClusterSoak(cfg);
     if (!rep.ok()) {
       std::printf("brownout soak (seed=%llu) failed: %s\n",
                   static_cast<unsigned long long>(cfg.seed),
@@ -247,13 +253,13 @@ int RunExperiment(bool quick) {
   // --- E27d: digest invariance ------------------------------------------
   // (i) Soak digest across broker counts with the full gray stack on,
   // against the both-off baseline.
-  scenarios::BrownoutSoakConfig dcfg = BaseConfig();
+  scenarios::ClusterSoakConfig dcfg = BaseConfig();
   dcfg.frame_budget = Duration::Zero();
   dcfg.slow_at_tick = 2;
   dcfg.slow_ticks = 10;
   dcfg.lossy_at_tick = 3;
   dcfg.lossy_ticks = 6;
-  auto baseline = scenarios::RunBrownoutSoak(dcfg);
+  auto baseline = scenarios::RunClusterSoak(dcfg);
   if (!baseline.ok()) {
     std::printf("E27d baseline failed: %s\n", baseline.status().ToString().c_str());
     return 1;
@@ -269,7 +275,7 @@ int RunExperiment(bool quick) {
     cfg.brokers = brokers;
     cfg.hedge.enabled = true;
     cfg.health.enabled = true;
-    auto rep = scenarios::RunBrownoutSoak(cfg);
+    auto rep = scenarios::RunClusterSoak(cfg);
     if (!rep.ok()) {
       std::printf("E27d soak (brokers=%u) failed: %s\n", brokers,
                   rep.status().ToString().c_str());
@@ -365,11 +371,11 @@ void BM_BrownoutSoak(benchmark::State& state) {
   const bool hedge = state.range(0) != 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    scenarios::BrownoutSoakConfig cfg = BaseConfig();
+    scenarios::ClusterSoakConfig cfg = BaseConfig();
     cfg.seed = seed++;
     cfg.hedge.enabled = hedge;
     cfg.health.enabled = hedge;
-    auto rep = scenarios::RunBrownoutSoak(cfg);
+    auto rep = scenarios::RunClusterSoak(cfg);
     benchmark::DoNotOptimize(rep);
   }
 }

@@ -93,9 +93,9 @@ Expected<ChaosReport> RunChaosSoak(const ChaosConfig& cfg) {
   broker.set_fault_injector(&injector);
   job.set_fault_injector(&injector);
 
-  const std::size_t cap = cfg.max_pump_iterations != 0
-                              ? cfg.max_pump_iterations
-                              : 1000 + (cfg.records / std::max<std::size_t>(1, cfg.batch) + 1) * 200;
+  // Pump-iteration cap (wedge guard): a generous bound on a draining run.
+  const std::size_t cap =
+      1000 + (cfg.records / std::max<std::size_t>(1, cfg.batch) + 1) * 200;
   std::size_t iterations = 0;
   while (true) {
     if (++iterations > cap) {

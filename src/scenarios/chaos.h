@@ -34,8 +34,6 @@ struct ChaosConfig {
   // Seeds both the workload generator and the fault schedule, so a failing
   // (spec, seed) pair replays bit-for-bit.
   std::uint64_t seed = 1;
-  // Pump-iteration cap (wedge guard). 0 = generous automatic bound.
-  std::size_t max_pump_iterations = 0;
 };
 
 // Final committed window results: "key|window_start_ms" -> (value, count).

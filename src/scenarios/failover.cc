@@ -89,10 +89,9 @@ Expected<FailoverReport> RunFailoverSoak(const FailoverConfig& cfg) {
   acked_ids.reserve(events.size());
 
   const std::size_t chunk = std::max<std::size_t>(1, cfg.produce_chunk);
+  // Pump-iteration cap (wedge guard): a generous bound on a draining run.
   const std::size_t cap =
-      cfg.max_pump_iterations != 0
-          ? cfg.max_pump_iterations
-          : 1000 + (cfg.records / std::max<std::size_t>(1, cfg.batch) + 1) * 200;
+      1000 + (cfg.records / std::max<std::size_t>(1, cfg.batch) + 1) * 200;
   std::size_t iterations = 0;
   std::size_t next = 0;
 

@@ -53,7 +53,6 @@ struct FailoverConfig {
   // the job is between checkpoints whenever it fires).
   double kill_p = 0.0;
   std::size_t kill_restore_ops = 8;  // restore window for explicit kills
-  std::size_t max_pump_iterations = 0;  // wedge guard; 0 = automatic bound
 };
 
 struct FailoverReport {

@@ -108,9 +108,8 @@ static Expected<OverloadReport> RunPhases(const OverloadConfig& cfg,
           ? 0
           : static_cast<std::size_t>(std::llround(phases[0].duration.seconds() / tick_s));
   std::size_t drain_ticks = 0;
-  const std::size_t max_drain =
-      cfg.max_drain_ticks > 0 ? cfg.max_drain_ticks
-                              : std::max<std::size_t>(10'000, 16 * loaded_ticks_total);
+  // Drain-phase tick cap (wedge guard): a generous bound past the load.
+  const std::size_t max_drain = std::max<std::size_t>(10'000, 16 * loaded_ticks_total);
 
   auto queued_records = [&]() {
     std::size_t n = 0;

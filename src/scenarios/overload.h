@@ -55,9 +55,6 @@ struct OverloadConfig {
   // is service.tick). Empty = fault-free.
   std::string fault_spec;
   std::uint64_t seed = 1;
-
-  // Drain-phase tick cap (wedge guard). 0 = generous automatic bound.
-  std::size_t max_drain_ticks = 0;
 };
 
 struct OverloadClassStats {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -19,7 +20,7 @@
 #include "cluster/controller.h"
 #include "cluster/placement.h"
 #include "common/serialize.h"
-#include "scenarios/autoscale.h"
+#include "scenarios/cluster.h"
 #include "stream/consumer.h"
 #include "stream/log.h"
 #include "stream/replication.h"
@@ -437,27 +438,29 @@ TEST(Autoscale, EnvGateParsesAndDefaultsOff) {
   unsetenv("ARBD_AUTOSCALE");
 }
 
-TEST(Autoscale, FlatRunMatchesClusterSoakDigest) {
-  // autoscale=false must be byte-identical to the flat E24 soak: same
-  // records, same draws, same committed digest.
-  scenarios::ClusterSoakConfig base;
-  base.brokers = 3;
-  base.partitions = 4;
-  base.consumers = 2;
-  base.fleet.users = 500;
-  base.fleet.hotspots = 16;
-  base.fleet.ticks = 8;
-  base.fleet.peak_events_per_tick = 40;
-  auto flat = scenarios::RunClusterSoak(base);
+TEST(Autoscale, ArmedButIdleMatchesFlatDigest) {
+  // An armed autoscaler whose split threshold no per-tick rate reaches
+  // must be byte-identical to the flat soak: same records, same draws,
+  // same committed digest, no split, no handoff.
+  scenarios::ClusterSoakConfig flat_cfg;
+  flat_cfg.brokers = 3;
+  flat_cfg.partitions = 4;
+  flat_cfg.consumers = 2;
+  flat_cfg.fleet.users = 500;
+  flat_cfg.fleet.hotspots = 16;
+  flat_cfg.fleet.ticks = 8;
+  flat_cfg.fleet.peak_events_per_tick = 40;
+  auto flat = scenarios::RunClusterSoak(flat_cfg);
   ASSERT_TRUE(flat.ok());
-  scenarios::AutoscaleSoakConfig acfg;
-  acfg.base = base;
-  acfg.autoscale = false;
-  auto off = scenarios::RunAutoscaleSoak(acfg);
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off->soak.committed_digest, flat->committed_digest);
-  EXPECT_EQ(off->soak.acked, flat->acked);
-  EXPECT_EQ(off->splits, 0u);
+  scenarios::ClusterSoakConfig idle_cfg = flat_cfg;
+  idle_cfg.autoscale.enabled = true;
+  idle_cfg.autoscale.split_rate_threshold = std::numeric_limits<std::uint64_t>::max();
+  auto idle = scenarios::RunClusterSoak(idle_cfg);
+  ASSERT_TRUE(idle.ok());
+  EXPECT_EQ(idle->committed_digest, flat->committed_digest);
+  EXPECT_EQ(idle->acked, flat->acked);
+  EXPECT_EQ(idle->cluster.splits, 0u);
+  EXPECT_EQ(idle->producer_handoffs, 0u);
 }
 
 // --- regression: Consumer::SeekToTimestamp must be atomic -------------

@@ -2,7 +2,7 @@
 // propagation through the cluster producer/consumer, hedged reads, and
 // health-driven leadership demotion. The recurring shape: every feature
 // is off by default and byte-identical to the pre-gray-failure build
-// (digest-proven via the brownout soak), and on, it is deterministic —
+// (digest-proven via the cluster soak), and on, it is deterministic —
 // drops are pure hashes frozen within a tick, hedge picks are pure
 // hashes over slot-ordered ISR candidates, health verdicts fold
 // driver-serially once per tick.
@@ -15,7 +15,7 @@
 #include "common/deadline.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
-#include "scenarios/brownout.h"
+#include "scenarios/cluster.h"
 #include "scenarios/replay.h"
 #include "stream/consumer.h"
 #include "stream/log.h"
@@ -410,16 +410,20 @@ TEST(Health, DisabledTrackerNeverDemotes) {
 // --- brownout soak: passthrough digests + audits -------------------------
 
 TEST(BrownoutSoak, DigestInvariantUnderHedgingAndHealth) {
-  scenarios::BrownoutSoakConfig base;
+  scenarios::ClusterSoakConfig base;
+  base.rolling_kill = false;
+  base.consumers = 2;
   base.fleet.users = 800;
+  base.fleet.hotspots = 32;
   base.fleet.ticks = 8;
   base.fleet.peak_events_per_tick = 40;
+  base.read_batch = 32;
   base.frame_budget = Duration::Zero();  // unlimited: nothing dropped
   base.slow_at_tick = 2;
   base.slow_factor = 8.0;
   base.slow_ticks = 12;
 
-  auto off = scenarios::RunBrownoutSoak(base);
+  auto off = scenarios::RunClusterSoak(base);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   ASSERT_TRUE(off->AuditClean());
   EXPECT_EQ(off->hedge.hedged, 0u);
@@ -427,7 +431,7 @@ TEST(BrownoutSoak, DigestInvariantUnderHedgingAndHealth) {
 
   auto hedge_cfg = base;
   hedge_cfg.hedge.enabled = true;
-  auto hedged = scenarios::RunBrownoutSoak(hedge_cfg);
+  auto hedged = scenarios::RunClusterSoak(hedge_cfg);
   ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
   ASSERT_TRUE(hedged->AuditClean());
   EXPECT_GT(hedged->hedge.hedged, 0u);
@@ -436,7 +440,7 @@ TEST(BrownoutSoak, DigestInvariantUnderHedgingAndHealth) {
 
   auto full = hedge_cfg;
   full.health.enabled = true;
-  auto health = scenarios::RunBrownoutSoak(full);
+  auto health = scenarios::RunClusterSoak(full);
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   ASSERT_TRUE(health->AuditClean());
   EXPECT_GT(health->cluster.demotions, 0u);
@@ -445,16 +449,20 @@ TEST(BrownoutSoak, DigestInvariantUnderHedgingAndHealth) {
 }
 
 TEST(BrownoutSoak, TightFrameBudgetDropsAtTheProducerNotInTheLog) {
-  scenarios::BrownoutSoakConfig cfg;
+  scenarios::ClusterSoakConfig cfg;
+  cfg.rolling_kill = false;
+  cfg.consumers = 2;
   cfg.fleet.users = 800;
+  cfg.fleet.hotspots = 32;
   cfg.fleet.ticks = 8;
   cfg.fleet.peak_events_per_tick = 40;
+  cfg.read_batch = 32;
   cfg.frame_budget = Duration::Millis(4);  // tight against an 8x brownout
   cfg.slow_at_tick = 1;
   cfg.slow_factor = 8.0;
   cfg.slow_ticks = 40;
 
-  auto rep = scenarios::RunBrownoutSoak(cfg);
+  auto rep = scenarios::RunClusterSoak(cfg);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_GT(rep->deadline_misses, 0u) << "the budget must actually bite";
   EXPECT_LT(rep->frame_hit_rate, 1.0);
@@ -465,10 +473,14 @@ TEST(BrownoutSoak, TightFrameBudgetDropsAtTheProducerNotInTheLog) {
 }
 
 TEST(BrownoutSoak, BrownoutPlusKillStaysExactlyOnce) {
-  scenarios::BrownoutSoakConfig cfg;
+  scenarios::ClusterSoakConfig cfg;
+  cfg.rolling_kill = false;
+  cfg.consumers = 2;
   cfg.fleet.users = 800;
+  cfg.fleet.hotspots = 32;
   cfg.fleet.ticks = 8;
   cfg.fleet.peak_events_per_tick = 40;
+  cfg.read_batch = 32;
   cfg.frame_budget = Duration::Zero();
   cfg.slow_at_tick = 2;
   cfg.slow_ticks = 10;
@@ -480,7 +492,7 @@ TEST(BrownoutSoak, BrownoutPlusKillStaysExactlyOnce) {
   cfg.hedge.enabled = true;
   cfg.health.enabled = true;
 
-  auto rep = scenarios::RunBrownoutSoak(cfg);
+  auto rep = scenarios::RunClusterSoak(cfg);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_TRUE(rep->AuditClean());
   EXPECT_GT(rep->cluster.kills, 0u);
