@@ -261,10 +261,10 @@ int RunExperiment(bool quick) {
     for (const bool tourism : {true, false}) {
       std::vector<std::uint64_t> digs;
       for (const std::size_t wks : worker_counts) {
-        exec::ExecConfig ec;
-        ec.workers = wks;
-        digs.push_back(tourism ? scenarios::TourismDigest(seed, ec)
-                               : scenarios::OverloadDigest(seed, ec));
+        RuntimeConfig rc = RuntimeConfig::Process();
+        rc.exec_workers = wks;
+        digs.push_back(tourism ? scenarios::TourismDigest(seed, rc)
+                               : scenarios::OverloadDigest(seed, rc));
       }
       bool equal = true;
       std::vector<std::string> cells = {bench::FmtInt(seed),

@@ -219,7 +219,7 @@ int RunExperiment(bool quick) {
 
   // --- fencing + truncation probes ------------------------------------
   {
-    stream::Partition committed;
+    stream::Partition committed(stream::DefaultSegmentBytes());
     stream::ReplicatedPartition rp(3, 0xfe2ce, committed);
     const stream::Epoch old_epoch = rp.epoch();
     (void)rp.Produce(stream::Record::MakeText("a", "1", TimePoint::FromMillis(1)),

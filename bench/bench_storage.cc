@@ -32,7 +32,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -42,12 +41,10 @@
 #include "bench/table.h"
 #include "common/rng.h"
 #include "common/serialize.h"
-#include "exec/executor.h"
 #include "scenarios/digest.h"
 #include "scenarios/replay.h"
 #include "stream/log.h"
 #include "stream/query.h"
-#include "stream/segment.h"
 
 namespace {
 
@@ -66,9 +63,10 @@ struct CheckList {
 struct Harness {
   SimClock clock;
   stream::Broker broker{clock};
-  Harness() {
+  explicit Harness(std::size_t segment_bytes) {
     stream::TopicConfig tc;
     tc.partitions = 1;
+    tc.segment_bytes = segment_bytes;
     (void)broker.CreateTopic(kTopic, tc);
   }
   // ~35 key+payload bytes per row; event time = row index in ms.
@@ -94,8 +92,7 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 // the tail phase; optionally with 4 historical-scan threads running.
 double TailThroughput(std::size_t prefill, std::size_t tail, std::size_t segment_bytes,
                       bool scans) {
-  stream::SetSegmentBytesTarget(segment_bytes);
-  Harness h;
+  Harness h(segment_bytes);
   h.Produce(prefill);
   std::atomic<bool> stop{false};
   std::vector<std::thread> scanners;
@@ -118,7 +115,6 @@ double TailThroughput(std::size_t prefill, std::size_t tail, std::size_t segment
   const double secs = SecondsSince(t0);
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : scanners) t.join();
-  stream::SetSegmentBytesTarget(0);
   return secs > 0.0 ? static_cast<double>(tail) / secs : 0.0;
 }
 
@@ -165,10 +161,8 @@ int RunExperiment(bool quick) {
   };
   std::vector<Probe> probes;
   for (const std::size_t s : {8u, 32u, 128u}) {
-    stream::SetSegmentBytesTarget(qn * row_bytes / s);
-    Harness h;
+    Harness h(qn * row_bytes / s);
     h.Produce(qn);
-    stream::SetSegmentBytesTarget(0);
     Probe pr;
     pr.actual_segments = h.partition().sealed_segment_count();
     const auto mid = static_cast<stream::Offset>(qn / 2);
@@ -246,32 +240,32 @@ int RunExperiment(bool quick) {
   const std::vector<std::uint64_t> seeds =
       quick ? std::vector<std::uint64_t>{5} : std::vector<std::uint64_t>{5, 17};
   bench::Table ts({"scenario", "seed", "workers", "replicas", "equal"});
-  for (const char* factor : {"1", "3"}) {
-    if (quick && std::strcmp(factor, "3") == 0) continue;
-    setenv("ARBD_REPLICAS", factor, 1);
+  for (const std::uint32_t factor : {1u, 3u}) {
+    if (quick && factor == 3) continue;
     for (const std::size_t wks : {1u, 4u}) {
-      exec::ExecConfig ec;
-      ec.workers = wks;
+      RuntimeConfig run = RuntimeConfig::Process();
+      run.replicas = factor;
+      run.exec_workers = wks;
       for (const std::uint64_t seed : seeds) {
         for (const bool tourism : {true, false}) {
-          stream::SetSegmentBytesTarget(0);
-          const std::uint64_t off = tourism ? scenarios::TourismDigest(seed, ec)
-                                            : scenarios::OverloadDigest(seed, ec);
-          stream::SetSegmentBytesTarget(1'024);
-          const std::uint64_t on = tourism ? scenarios::TourismDigest(seed, ec)
-                                           : scenarios::OverloadDigest(seed, ec);
-          stream::SetSegmentBytesTarget(0);
+          const auto digest = [&](std::size_t segment_bytes) {
+            run.segment_bytes = segment_bytes;
+            return tourism ? scenarios::TourismDigest(seed, run)
+                           : scenarios::OverloadDigest(seed, run);
+          };
+          const std::uint64_t off = digest(0);
+          const std::uint64_t on = digest(1'024);
           ts.Row({tourism ? "tourism" : "overload", bench::FmtInt(seed),
-                  bench::FmtInt(wks), factor, off == on ? "yes" : "NO"});
+                  bench::FmtInt(wks), bench::FmtInt(factor), off == on ? "yes" : "NO"});
           checks.Check(off == on, std::string(tourism ? "tourism" : "overload") +
                                       " digest segmentation-invariant: seed=" +
                                       std::to_string(seed) + " workers=" +
-                                      std::to_string(wks) + " replicas=" + factor);
+                                      std::to_string(wks) + " replicas=" +
+                                      std::to_string(factor));
         }
       }
     }
   }
-  unsetenv("ARBD_REPLICAS");
   ts.Print("E25d scenario digests, segmentation off vs on");
 
   std::printf("\nE25 verdict: %s (%d failing check%s)\n",
@@ -283,10 +277,8 @@ int RunExperiment(bool quick) {
 void BM_SegmentedTailProduce(benchmark::State& state) {
   const auto seg_bytes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    stream::SetSegmentBytesTarget(seg_bytes);
-    Harness h;
+    Harness h(seg_bytes);
     h.Produce(16'384);
-    stream::SetSegmentBytesTarget(0);
     benchmark::DoNotOptimize(h.broker.total_produced());
   }
   state.SetItemsProcessed(state.iterations() * 16'384);

@@ -20,7 +20,9 @@
 //
 //   E21d: inertness — Tourism/Overload scenario digests are unchanged
 //         with the global tracer enabled vs disabled (trace headers never
-//         touch encoded payloads or simulation randomness).
+//         touch encoded payloads or simulation randomness). Only the
+//         tourism digest records spans: OverloadDigest wires no tracer, so
+//         its comparison does not exercise tracing.
 //
 // Also writes a Chrome trace-event JSON sample (load it in
 // chrome://tracing or Perfetto) next to the binary. `--quick` runs reduced
@@ -210,17 +212,15 @@ int RunExperiment(bool quick) {
                    "% of modeled makespan (< 1%)");
 
   // --- E21d: scenario digests inert under tracing ---------------------
-  exec::ExecConfig ec;
-  ec.workers = 2;
-  trace::Tracer& g = trace::Tracer::Global();
-  const bool was_enabled = g.enabled();
-  g.set_enabled(false);
-  const std::uint64_t tourism_off = scenarios::TourismDigest(7, ec);
-  const std::uint64_t overload_off = scenarios::OverloadDigest(7, ec);
-  g.set_enabled(true);
-  const std::uint64_t tourism_on = scenarios::TourismDigest(7, ec);
-  const std::uint64_t overload_on = scenarios::OverloadDigest(7, ec);
-  g.set_enabled(was_enabled);
+  RuntimeConfig off = RuntimeConfig::Process();
+  off.exec_workers = 2;
+  off.trace = false;
+  RuntimeConfig on = off;
+  on.trace = true;
+  const std::uint64_t tourism_off = scenarios::TourismDigest(7, off);
+  const std::uint64_t overload_off = scenarios::OverloadDigest(7, off);
+  const std::uint64_t tourism_on = scenarios::TourismDigest(7, on);
+  const std::uint64_t overload_on = scenarios::OverloadDigest(7, on);
   checks.Check(tourism_on == tourism_off,
                "inertness: tourism digest unchanged with tracing enabled");
   checks.Check(overload_on == overload_off,

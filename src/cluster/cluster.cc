@@ -2,27 +2,19 @@
 
 #include <algorithm>
 
-#include "common/env.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/runtime.h"
 #include "common/serialize.h"
 
 namespace arbd::cluster {
-
-std::uint32_t ClusterSizeFromEnv() {
-  const auto v = EnvInt("ARBD_CLUSTER");
-  if (!v || *v < 1) return 1;
-  return static_cast<std::uint32_t>(std::min<std::int64_t>(*v, 16));
-}
-
-bool AutoscaleFromEnv() { return EnvFlag("ARBD_AUTOSCALE"); }
 
 BrokerCluster::BrokerCluster(stream::Broker& broker, ClusterConfig cfg)
     : broker_(broker),
       cfg_(cfg),
       ring_(std::max<std::uint32_t>(cfg.brokers, 1), cfg.virtual_nodes, cfg.seed),
       controller_(std::max<std::uint32_t>(cfg.brokers, 1), cfg.metadata_factor,
-                  cfg.seed ^ 0xc0417011ULL),
+                  cfg.seed ^ 0xc0417011ULL, cfg.segment_bytes),
       rng_(cfg.seed ^ 0x6b111b6bULL),
       health_(std::max<std::uint32_t>(cfg.brokers, 1), cfg.health, cfg.base_op_latency) {
   cfg_.brokers = std::max<std::uint32_t>(cfg_.brokers, 1);
@@ -44,9 +36,9 @@ Status BrokerCluster::CreateTopic(const std::string& name, stream::TopicConfig c
   std::unique_lock<std::shared_mutex> lk(mu_);
   if (placements_.contains(name)) return Status::AlreadyExists("topic '" + name + "'");
   if (cfg.partitions == 0) cfg.partitions = 1;
-  // Resolve the factor the way Topic would (env default, [1,8] clamp), so
-  // the placement clamp below sees the real request.
-  std::uint32_t factor = cfg.replication_factor == 0 ? stream::ReplicationFactorFromEnv()
+  // Resolve the factor the way Topic would (process default, [1,8] clamp),
+  // so the placement clamp below sees the real request.
+  std::uint32_t factor = cfg.replication_factor == 0 ? RuntimeConfig::Process().replicas
                                                      : cfg.replication_factor;
   factor = std::clamp<std::uint32_t>(factor, 1, 8);
   TopicPlacement placement = PlaceTopic(ring_, name, cfg.partitions, factor);

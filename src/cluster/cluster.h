@@ -20,12 +20,13 @@
 // produce fan-outs see a frozen routing table — the digest-equality
 // argument across worker counts.
 //
-// ARBD_CLUSTER (1..16) sizes the cluster the platform builds; 1 (the
-// default) builds no cluster at all — a structural passthrough,
-// byte-identical to the pre-cluster platform.
+// PlatformConfig::cluster_brokers (1..16) sizes the cluster the platform
+// builds; 1 (the default) builds no cluster at all — a structural
+// passthrough, byte-identical to the pre-cluster platform.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -45,18 +46,6 @@
 #include "stream/log.h"
 
 namespace arbd::cluster {
-
-// ARBD_CLUSTER (1..16): modeled broker count for clusters built from the
-// environment (core::Platform). Unset or invalid -> 1 (no cluster).
-std::uint32_t ClusterSizeFromEnv();
-
-// ARBD_AUTOSCALE ("1"/"true"/"on"): enables controller-driven partition
-// split/merge on clusters built from the environment (core::Platform).
-// Only Platform consults this — explicitly-configured clusters (tests,
-// benches, scenarios) opt in through ClusterConfig::autoscale, so turning
-// the env flag on never silently reshapes an experiment that pinned its
-// own config. Off = byte-identical to the pre-autoscale cluster.
-bool AutoscaleFromEnv();
 
 // Partition autoscaling policy (ISSUE 9). Rates are records appended per
 // cluster Tick, observed from end-offset deltas and recorded into the
@@ -96,6 +85,8 @@ struct ClusterConfig {
   // Health-driven leadership demotion (ISSUE 10). Disabled = no tracker
   // verdicts ever fire and the cluster is byte-identical to before.
   HealthConfig health;
+  // Seal target of the controller's metadata log (TopicConfig::segment_bytes).
+  std::size_t segment_bytes = stream::DefaultSegmentBytes();
 };
 
 struct ClusterStats {
@@ -125,7 +116,7 @@ class BrokerCluster : public stream::ClusterGate {
   BrokerCluster& operator=(const BrokerCluster&) = delete;
 
   // Create a topic with cluster placement: the replication factor
-  // (explicit, or ARBD_REPLICAS when 0) is clamped to the live broker
+  // (explicit, or the process default when 0) is clamped to the live broker
   // count with a logged warning, every partition's replica slots land on
   // distinct brokers, and the placement is committed to the metadata log.
   Status CreateTopic(const std::string& name, stream::TopicConfig cfg);

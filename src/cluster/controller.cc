@@ -213,8 +213,9 @@ std::uint64_t ControllerState::Digest() const {
 }
 
 MetadataController::MetadataController(std::uint32_t brokers, std::uint32_t meta_factor,
-                                       std::uint64_t seed)
-    : log_rp_(std::clamp<std::uint32_t>(meta_factor, 1, std::max<std::uint32_t>(brokers, 1)),
+                                       std::uint64_t seed, std::size_t segment_bytes)
+    : log_(segment_bytes),
+      log_rp_(std::clamp<std::uint32_t>(meta_factor, 1, std::max<std::uint32_t>(brokers, 1)),
               seed ^ 0x7e7ad47aULL, log_) {}
 
 Status MetadataController::Append(const MetaEvent& e) {

@@ -14,6 +14,7 @@
 // exercised directly through log().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -94,9 +95,10 @@ struct ControllerState {
 class MetadataController {
  public:
   // `meta_factor` is clamped to [1, brokers]; `seed` drives the metadata
-  // log's own deterministic elections.
+  // log's own deterministic elections; `segment_bytes` is the log's seal
+  // target.
   MetadataController(std::uint32_t brokers, std::uint32_t meta_factor,
-                     std::uint64_t seed);
+                     std::uint64_t seed, std::size_t segment_bytes);
 
   // Append the event to the replicated metadata log, then apply it to the
   // live state. The append is retried across an election (a crashed meta

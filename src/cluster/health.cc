@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#include "common/env.h"
-
 namespace arbd::cluster {
-
-bool HealthFromEnv() { return EnvFlag("ARBD_HEALTH"); }
 
 namespace {
 

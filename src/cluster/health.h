@@ -22,12 +22,6 @@
 
 namespace arbd::cluster {
 
-// ARBD_HEALTH ("1"/"true"/"on"): arms health-driven leadership demotion
-// on clusters built from the environment (core::Platform). Explicitly
-// configured clusters opt in through ClusterConfig::health. Off =
-// byte-identical passthrough: no tracker verdicts, no demotions.
-bool HealthFromEnv();
-
 struct HealthConfig {
   bool enabled = false;
   // EWMA smoothing per tick (weight of the newest tick's mean).

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "common/env.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 
 namespace arbd::cluster {
-
-bool HedgeFromEnv() { return EnvFlag("ARBD_HEDGE"); }
 
 HedgedReader::HedgedReader(BrokerCluster& cluster, stream::Broker& broker,
                            std::string topic, HedgeConfig cfg, std::uint64_t seed)

@@ -17,8 +17,8 @@
 // groundwork for the geo edge-tier roadmap item: "nearest replica"
 // drops in where "another ISR member" is picked today.
 //
-// ARBD_HEDGE off (the default) = byte-identical passthrough: every read
-// is exactly the primary attempt.
+// HedgeConfig::enabled off (the default) = byte-identical passthrough:
+// every read is exactly the primary attempt.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +34,6 @@
 #include "stream/query.h"
 
 namespace arbd::cluster {
-
-// ARBD_HEDGE ("1"/"true"/"on"): arms hedged reads on readers built from
-// the environment (core::Platform). Explicitly constructed readers opt
-// in through HedgeConfig::enabled.
-bool HedgeFromEnv();
 
 struct HedgeConfig {
   bool enabled = false;

@@ -25,18 +25,20 @@ Platform::Platform(PlatformConfig cfg, const geo::CityModel& city, SimClock& clo
   // Cluster first, so topic creation can route through placement. Size 1
   // (the default) builds nothing — structurally the pre-cluster platform.
   const std::uint32_t brokers =
-      cfg_.cluster_brokers == 0 ? cluster::ClusterSizeFromEnv()
+      cfg_.cluster_brokers == 0 ? RuntimeConfig::Process().cluster_brokers
                                 : std::clamp<std::uint32_t>(cfg_.cluster_brokers, 1, 16);
   if (brokers > 1) {
     cluster::ClusterConfig cc;
     cc.brokers = brokers;
-    cc.autoscale.enabled = cluster::AutoscaleFromEnv();
-    cc.health.enabled = cluster::HealthFromEnv();
+    cc.autoscale.enabled = RuntimeConfig::Process().autoscale;
+    cc.health.enabled = RuntimeConfig::Process().health;
+    cc.segment_bytes = cfg_.segment_bytes;
     cluster_ = std::make_unique<cluster::BrokerCluster>(broker_, cc);
   }
   stream::TopicConfig tc;
   tc.partitions = cfg_.partitions;
-  tc.replication_factor = cfg_.replication_factor;  // 0 defers to ARBD_REPLICAS
+  tc.replication_factor = cfg_.replication_factor;  // 0 defers to the process default
+  tc.segment_bytes = cfg_.segment_bytes;
   if (cfg_.qos.enabled) tc.max_records = cfg_.qos.topic_budget_records;
   const Status s = cluster_ != nullptr ? cluster_->CreateTopic(cfg_.event_topic, tc)
                                        : broker_.CreateTopic(cfg_.event_topic, tc);

@@ -27,6 +27,7 @@
 #include "ar/occlusion.h"
 #include "cluster/cluster.h"
 #include "common/metrics.h"
+#include "common/runtime.h"
 #include "core/context.h"
 #include "core/interpretation.h"
 #include "exec/executor.h"
@@ -56,19 +57,22 @@ struct PlatformQosConfig {
 struct PlatformConfig {
   std::string event_topic = "arbd.events";
   std::uint32_t partitions = 4;
-  // Replica nodes per event-topic partition; 0 defers to ARBD_REPLICAS
-  // (default 1). At factor 1 publishing is byte-identical to the
-  // pre-replication platform; at higher factors publishes ride the
-  // idempotent producer path and survive injected leader crashes without
-  // loss or duplication (retries dedup broker-side).
+  // Replica nodes per event-topic partition; 0 defers to
+  // RuntimeConfig::replicas (default 1). At factor 1 publishing is
+  // byte-identical to the pre-replication platform; at higher factors
+  // publishes ride the idempotent producer path and survive injected
+  // leader crashes without loss or duplication (retries dedup broker-side).
   std::uint32_t replication_factor = 0;
   // Modeled broker nodes fronting the event topic; 0 defers to
-  // ARBD_CLUSTER (default 1). At 1 no cluster is built at all — the
-  // platform is structurally identical to the pre-cluster build. At >1 a
-  // BrokerCluster places the topic's replica slots across brokers, gates
-  // produce/fetch on leader reachability, and Publish retries through
-  // rerouting when a leader broker is down.
+  // RuntimeConfig::cluster_brokers (default 1). At 1 no cluster is built
+  // at all — the platform is structurally identical to the pre-cluster
+  // build. At >1 a BrokerCluster places the topic's replica slots across
+  // brokers, gates produce/fetch on leader reachability, and Publish
+  // retries through rerouting when a leader broker is down.
   std::uint32_t cluster_brokers = 0;
+  // Seal target of the event topic and, when a cluster is built, of its
+  // metadata log.
+  std::size_t segment_bytes = stream::DefaultSegmentBytes();
   // Frame-deadline propagation (ISSUE 10): when nonzero, each Publish and
   // each ProcessPending poll carries a Deadline with this budget — cluster
   // retries charge modeled op latency + backoff against it and stop with
@@ -80,10 +84,10 @@ struct PlatformConfig {
   ar::LayoutConfig layout;
   ContextConfig context;
   PlatformQosConfig qos;
-  // Worker pool for ingestion and frame composition. Defaults from the
-  // environment (ARBD_EXEC_WORKERS) so CI can run the whole suite at
-  // several worker counts without touching call sites.
-  exec::ExecConfig exec = exec::ExecConfig::FromEnv();
+  // Worker pool for ingestion and frame composition. Defaults to
+  // RuntimeConfig::exec_workers so CI can run the whole suite at several
+  // worker counts without touching call sites.
+  exec::ExecConfig exec{.workers = RuntimeConfig::Process().exec_workers};
   // Causal tracer wired through broker, pipelines, and the frame path.
   // Null selects trace::Tracer::Global() (ARBD_TRACE=1 turns it on); all
   // instrumentation is a single relaxed load when disabled.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "common/env.h"
-
 namespace arbd::exec {
 
 namespace {
@@ -14,13 +12,6 @@ namespace {
 thread_local std::size_t t_current_worker = 0;
 
 }  // namespace
-
-ExecConfig ExecConfig::FromEnv() {
-  ExecConfig cfg;
-  const auto w = EnvInt("ARBD_EXEC_WORKERS");
-  if (w && *w >= 1 && *w <= 64) cfg.workers = static_cast<std::size_t>(*w);
-  return cfg;
-}
 
 Executor::Executor(ExecConfig cfg) : workers_(std::max<std::size_t>(1, cfg.workers)) {
   lanes_.reserve(workers_);

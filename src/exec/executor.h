@@ -45,10 +45,6 @@ namespace arbd::exec {
 struct ExecConfig {
   std::size_t workers = 1;  // 0 is clamped to 1
   std::uint64_t seed = 0;   // unread; kept only because perfbench sets it
-
-  // Reads ARBD_EXEC_WORKERS (1..64; used by CI to run the whole tier-1
-  // suite at workers=1 and workers=4). Unset or invalid -> 1.
-  static ExecConfig FromEnv();
 };
 
 class Executor {

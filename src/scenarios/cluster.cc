@@ -59,6 +59,7 @@ Expected<ClusterSoakReport> RunClusterSoak(const ClusterSoakConfig& cfg) {
   cc.default_restore_ticks = std::max<std::uint64_t>(cfg.restore_ticks, 1);
   cc.autoscale = cfg.autoscale;
   cc.health = cfg.health;
+  cc.segment_bytes = cfg.segment_bytes;
   cluster::BrokerCluster cluster(broker, cc);
 
   std::unique_ptr<fault::FaultInjector> injector;
@@ -72,6 +73,7 @@ Expected<ClusterSoakReport> RunClusterSoak(const ClusterSoakConfig& cfg) {
   stream::TopicConfig tc;
   tc.partitions = cfg.partitions;
   tc.replication_factor = std::max<std::uint32_t>(cfg.replication_factor, 1);
+  tc.segment_bytes = cfg.segment_bytes;
   auto created = cluster.CreateTopic("cluster.events", tc);
   if (!created.ok()) return created;
 

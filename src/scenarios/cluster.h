@@ -51,6 +51,7 @@ struct ClusterSoakConfig {
   std::uint32_t brokers = 4;
   std::uint32_t partitions = 8;
   std::uint32_t replication_factor = 3;  // clamped to `brokers` at placement
+  std::size_t segment_bytes = stream::DefaultSegmentBytes();  // topic and metadata-log seal target
   std::uint32_t consumers = 4;           // group members, homed on broker i % brokers
 
   // Fleet-shaped workload (diurnal + Zipf hotspots, optional flash-crowd

@@ -7,9 +7,11 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/platform.h"
+#include "exec/executor.h"
 #include "geo/city.h"
 #include "scenarios/tourism.h"
 #include "stream/parallel.h"
+#include "trace/tracer.h"
 
 namespace arbd::scenarios {
 
@@ -27,11 +29,17 @@ void FoldTour(BinaryWriter& w, const TourMetrics& m) {
 
 }  // namespace
 
-std::uint64_t TourismDigest(std::uint64_t seed, const exec::ExecConfig& exec_cfg) {
+std::uint64_t TourismDigest(std::uint64_t seed, const RuntimeConfig& rc) {
   SimClock clock;
   const geo::CityModel city = geo::CityModel::Generate(geo::CityConfig{}, 51);
+  trace::Tracer tracer(trace::TracerConfig{
+      .enabled = rc.trace, .ring_capacity = rc.trace_ring, .seed = rc.trace_seed});
   core::PlatformConfig pc;
-  pc.exec = exec_cfg;
+  pc.tracer = &tracer;
+  pc.exec.workers = rc.exec_workers;
+  pc.replication_factor = rc.replicas;
+  pc.cluster_brokers = rc.cluster_brokers;
+  pc.segment_bytes = rc.segment_bytes;
   core::Platform platform(pc, city, clock);
 
   const geo::Poi* poi = city.pois().All().front();
@@ -121,14 +129,16 @@ std::uint64_t TourismDigest(std::uint64_t seed, const exec::ExecConfig& exec_cfg
   return Fnv1a(w.bytes());
 }
 
-std::uint64_t OverloadDigest(std::uint64_t seed, const exec::ExecConfig& exec_cfg) {
+std::uint64_t OverloadDigest(std::uint64_t seed, const RuntimeConfig& rc) {
   SimClock clock;
   stream::Broker broker(clock);
-  exec::Executor ex(exec_cfg);
+  exec::Executor ex(exec::ExecConfig{.workers = rc.exec_workers});
 
   stream::TopicConfig tc;
   tc.partitions = 8;
   tc.max_records = 256;
+  tc.replication_factor = rc.replicas;
+  tc.segment_bytes = rc.segment_bytes;
   (void)broker.CreateTopic(kDigestTopic, tc);
 
   Rng rng(seed ^ 0x0ff10adULL);

@@ -59,6 +59,7 @@ Expected<FailoverReport> RunFailoverSoak(const FailoverConfig& cfg) {
   stream::TopicConfig tc;
   tc.partitions = cfg.partitions;
   tc.replication_factor = std::max<std::uint32_t>(1, cfg.replication_factor);
+  tc.segment_bytes = cfg.segment_bytes;
   auto created = broker.CreateTopic("failover", tc);
   if (!created.ok()) return created;
 

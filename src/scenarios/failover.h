@@ -28,6 +28,7 @@
 #include "scenarios/chaos.h"
 #include "stream/recovery.h"
 #include "stream/replication.h"
+#include "stream/segment.h"
 
 namespace arbd::scenarios {
 
@@ -35,6 +36,7 @@ struct FailoverConfig {
   std::size_t records = 2000;
   std::uint32_t partitions = 2;
   std::uint32_t replication_factor = 3;
+  std::size_t segment_bytes = stream::DefaultSegmentBytes();  // topic seal target
   std::size_t checkpoint_every = 16;
   std::size_t batch = 32;          // records pumped per job iteration
   std::size_t produce_chunk = 16;  // records produced between pumps

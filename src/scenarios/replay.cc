@@ -11,7 +11,6 @@
 #include "scenarios/tourism.h"
 #include "stream/consumer.h"
 #include "stream/log.h"
-#include "stream/segment.h"
 
 namespace arbd::scenarios {
 
@@ -36,17 +35,12 @@ struct SessionEvent {
 }  // namespace
 
 SessionReplayReport RunSessionReplay(const SessionReplayConfig& cfg) {
-  // Install the requested seal target for the duration of the run; the
-  // differential callers flip this between 0 and a small value to prove
-  // replay output is independent of segmentation.
-  const std::size_t prev_target = stream::SegmentBytesTarget();
-  stream::SetSegmentBytesTarget(cfg.segment_bytes);
-
   SessionReplayReport rep;
   SimClock clock;
   stream::Broker broker(clock);
   stream::TopicConfig tc;
   tc.partitions = cfg.partitions;
+  tc.segment_bytes = cfg.segment_bytes;
   (void)broker.CreateTopic(kReplayTopic, tc);
 
   const geo::CityModel city =
@@ -169,7 +163,6 @@ SessionReplayReport RunSessionReplay(const SessionReplayConfig& cfg) {
     }
   }
 
-  stream::SetSegmentBytesTarget(prev_target);
   return rep;
 }
 
@@ -188,14 +181,12 @@ struct VitalsSample {
 }  // namespace
 
 AnomalyReplayReport RunAnomalyReplay(const AnomalyReplayConfig& cfg) {
-  const std::size_t prev_target = stream::SegmentBytesTarget();
-  stream::SetSegmentBytesTarget(cfg.segment_bytes);
-
   AnomalyReplayReport rep;
   SimClock clock;
   stream::Broker broker(clock);
   stream::TopicConfig tc;
   tc.partitions = cfg.partitions;
+  tc.segment_bytes = cfg.segment_bytes;
   (void)broker.CreateTopic(kVitalsTopic, tc);
 
   // --- ground truth: seeded episodes in disjoint timeline blocks --------
@@ -325,8 +316,6 @@ AnomalyReplayReport RunAnomalyReplay(const AnomalyReplayConfig& cfg) {
     }
   }
   rep.digest = Fnv1a(fold.bytes());
-
-  stream::SetSegmentBytesTarget(prev_target);
   return rep;
 }
 

@@ -29,8 +29,8 @@ struct SessionReplayConfig {
   std::size_t tourists = 6;
   std::size_t events_per_tourist = 400;
   std::uint32_t partitions = 2;
-  // Segment seal target installed for the run (SetSegmentBytesTarget);
-  // 0 runs unsegmented. The previous global value is restored on return.
+  // Seal target of the session topic (TopicConfig::segment_bytes); 0 runs
+  // unsegmented.
   std::size_t segment_bytes = 2048;
   // Virtual time between a tourist's consecutive session events.
   Duration step = Duration::Millis(250);
@@ -76,8 +76,7 @@ struct AnomalyReplayConfig {
   std::size_t patients = 12;
   std::size_t samples_per_patient = 240;
   std::uint32_t partitions = 4;
-  // Segment seal target installed for the run; 0 runs unsegmented. The
-  // previous global value is restored on return.
+  // Seal target of the vitals topic; 0 runs unsegmented.
   std::size_t segment_bytes = 2048;
   Duration sample_period = Duration::Millis(500);
   // Seeded ground-truth episodes per patient, each `episode_samples`

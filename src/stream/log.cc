@@ -4,6 +4,7 @@
 
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/runtime.h"
 
 namespace arbd::stream {
 
@@ -33,9 +34,8 @@ void Partition::MaybeReclaimHeadLocked() {
 }
 
 void Partition::MaybeSealLocked() {
-  const std::size_t target = SegmentBytesTarget();
-  if (target == 0) return;
-  if (active_.byte_size() - active_dead_bytes_ < target) return;
+  if (segment_bytes_ == 0) return;
+  if (active_.byte_size() - active_dead_bytes_ < segment_bytes_) return;
   if (ActiveLiveLocked() == 0) return;
   SealActiveLocked();
 }
@@ -245,7 +245,7 @@ void Partition::SealActive() {
 Topic::Topic(std::string name, TopicConfig cfg)
     : name_(std::move(name)), cfg_(cfg) {
   if (cfg_.partitions == 0) cfg_.partitions = 1;
-  if (cfg_.replication_factor == 0) cfg_.replication_factor = ReplicationFactorFromEnv();
+  if (cfg_.replication_factor == 0) cfg_.replication_factor = RuntimeConfig::Process().replicas;
   // Explicit factors get the same [1, 8] clamp the ARBD_REPLICAS path
   // applies — a factor-12 request silently becoming 12 lock-stepped
   // replicas is not a configuration anyone meant.
@@ -258,7 +258,7 @@ Topic::Topic(std::string name, TopicConfig cfg)
   parts_.reserve(cfg_.partitions);
   repl_.reserve(cfg_.partitions);
   for (std::uint32_t i = 0; i < cfg_.partitions; ++i) {
-    parts_.push_back(std::make_unique<Partition>());
+    parts_.push_back(std::make_unique<Partition>(cfg_.segment_bytes));
     // Mix the partition id into the failover seed so sibling partitions
     // elect independently under the same crash schedule.
     repl_.push_back(std::make_unique<ReplicatedPartition>(
@@ -272,7 +272,7 @@ std::uint32_t Topic::AddPartitions(std::uint32_t n) {
   repl_.reserve(repl_.size() + n);
   for (std::uint32_t k = 0; k < n; ++k) {
     const std::uint64_t i = parts_.size();  // absolute index, same seed formula
-    parts_.push_back(std::make_unique<Partition>());
+    parts_.push_back(std::make_unique<Partition>(cfg_.segment_bytes));
     repl_.push_back(std::make_unique<ReplicatedPartition>(
         cfg_.replication_factor, cfg_.replication_seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)),
         *parts_.back()));

@@ -94,8 +94,8 @@ struct TopicConfig {
   // backpressure) rather than probing for rejections.
   std::size_t max_records = 0;
   std::size_t max_bytes = 0;
-  // Replica nodes per partition (stream/replication.h). 0 defers to the
-  // ARBD_REPLICAS environment variable (default 1, the single-copy
+  // Replica nodes per partition (stream/replication.h). 0 defers to
+  // RuntimeConfig::replicas of the process (default 1, the single-copy
   // behaviour every pre-replication caller gets unchanged). Explicit
   // values are clamped to [1, 8] with a logged warning, matching the env
   // path; the cluster layer additionally clamps to its live broker count
@@ -104,6 +104,10 @@ struct TopicConfig {
   // Seeds the deterministic leader elections; mixed with the partition id
   // so sibling partitions fail over independently.
   std::uint64_t replication_seed = 0x5eedULL;
+  // Seal target in key+payload bytes (stream/segment.h); 0 keeps every
+  // partition the flat single-batch store. Each partition captures it when
+  // it is built, so autoscale split and merge children inherit it.
+  std::size_t segment_bytes = DefaultSegmentBytes();
 };
 
 // One partition of a topic. Offsets are dense: the first retained record
@@ -119,9 +123,9 @@ struct TopicConfig {
 // (truncation advances `active_head_` in O(1) per record, rebuilt once
 // the dead prefix outweighs the live rows), while sealed segments drop
 // whole in O(1) when retention/truncation passes their end — the tiered
-// "segment drop" path. Sealing is gated by ARBD_SEGMENT_BYTES
-// (SegmentBytesTarget): with it unset the partition never seals and is
-// the flat single-batch store, byte-for-byte.
+// "segment drop" path. Sealing is gated by the seal target the partition
+// is built with (TopicConfig::segment_bytes): at 0 the partition never
+// seals and is the flat single-batch store, byte-for-byte.
 //
 // Invariants (with mu_ held): sealed segments are contiguous and
 // adjacent (seg[i].end == seg[i+1].base); if any exist,
@@ -132,6 +136,9 @@ struct TopicConfig {
 // active_base_ when none exist.
 class Partition {
  public:
+  explicit Partition(std::size_t segment_bytes)
+      : segment_bytes_(segment_bytes) {}
+
   Offset Append(Record record, TimePoint ingest_time);
 
   // Fetch up to `max_records` starting at `from` as one RecordBatch built
@@ -182,7 +189,7 @@ class Partition {
   std::size_t sealed_segment_count() const;
 
   // Force-seal the live active rows into an immutable segment regardless
-  // of the SegmentBytesTarget gate (no-op when nothing is live). The
+  // of the seal target (no-op when nothing is live). The
   // autoscale split fence uses this so a sealed parent's history is
   // served entirely from the immutable query tier.
   void SealActive();
@@ -197,7 +204,7 @@ class Partition {
     return static_cast<std::size_t>(EndLocked() - start_offset_);
   }
   // Seal the live active rows into an immutable Segment once they exceed
-  // SegmentBytesTarget (no-op when the target is 0 or nothing is live).
+  // segment_bytes_ (no-op when the target is 0 or nothing is live).
   void MaybeSealLocked();
   void SealActiveLocked();
   // Advance the log start to min(target, end), dropping whole sealed
@@ -206,6 +213,7 @@ class Partition {
   std::size_t AdvanceStartLocked(Offset target);
   void MaybeReclaimHeadLocked(); // rebuild active_ when its dead prefix dominates
 
+  const std::size_t segment_bytes_;
   mutable std::mutex mu_;
   // Sealed run, oldest first; deque for O(1) front drop, shared_ptr so
   // in-flight query snapshots outlive truncation.

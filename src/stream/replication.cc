@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "stream/batch.h"
@@ -20,12 +19,6 @@ std::uint64_t Mix3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 }
 
 }  // namespace
-
-std::uint32_t ReplicationFactorFromEnv() {
-  const auto v = EnvInt("ARBD_REPLICAS");
-  if (!v) return 1;
-  return static_cast<std::uint32_t>(std::clamp<std::int64_t>(*v, 1, 8));
-}
 
 ReplicatedPartition::ReplicatedPartition(std::uint32_t factor,
                                          std::uint64_t failover_seed,

@@ -71,11 +71,6 @@ struct InjectedCrash {
   std::size_t restore_after_ops = kDefaultRestoreWindow;
 };
 
-// ARBD_REPLICAS (1..8): the default replication factor for topics that do
-// not set one explicitly. Unset or invalid -> 1 (the pre-replication
-// single-copy behaviour, bit-identical to the seed).
-std::uint32_t ReplicationFactorFromEnv();
-
 // Introspection row for one replica node (tests, benches, docs tables).
 struct ReplicaInfo {
   NodeId node = 0;

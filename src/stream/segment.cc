@@ -4,35 +4,24 @@
 #include <atomic>
 #include <limits>
 
-#include "common/env.h"
+#include "common/runtime.h"
 
 namespace arbd::stream {
 
 namespace {
 
-// -1 = uncached; cached so the flag costs one relaxed load on the append
-// hot path.
-std::atomic<long long> g_segment_bytes{-1};
-
-std::size_t ReadSegmentBytesEnv() {
-  const auto v = EnvInt("ARBD_SEGMENT_BYTES");
-  if (!v || *v <= 0) return 0;
-  return static_cast<std::size_t>(*v);
-}
+// -1 = no override: the process default applies.
+std::atomic<long long> g_segment_bytes_override{-1};
 
 }  // namespace
 
-std::size_t SegmentBytesTarget() {
-  long long cached = g_segment_bytes.load(std::memory_order_relaxed);
-  if (cached < 0) {
-    cached = static_cast<long long>(ReadSegmentBytesEnv());
-    g_segment_bytes.store(cached, std::memory_order_relaxed);
-  }
-  return static_cast<std::size_t>(cached);
+std::size_t DefaultSegmentBytes() {
+  const long long bytes = g_segment_bytes_override.load(std::memory_order_relaxed);
+  return bytes < 0 ? RuntimeConfig::Process().segment_bytes : static_cast<std::size_t>(bytes);
 }
 
 void SetSegmentBytesTarget(std::size_t bytes) {
-  g_segment_bytes.store(static_cast<long long>(bytes), std::memory_order_relaxed);
+  g_segment_bytes_override.store(static_cast<long long>(bytes), std::memory_order_relaxed);
 }
 
 Segment::Segment(Offset base_offset, RecordBatch rows)

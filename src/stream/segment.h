@@ -18,8 +18,8 @@
 //     SeekToTimestamp prune segments and blocks against these bounds and
 //     only examine rows inside surviving blocks.
 //
-// Gating: segmentation is enabled by ARBD_SEGMENT_BYTES (the target
-// sealed-segment size in key+payload bytes; unset/0 = off). With the flag
+// Gating: segmentation is enabled per topic by TopicConfig::segment_bytes
+// (the target sealed-segment size in key+payload bytes; 0 = off). With it
 // off the partition never seals — a single active batch, byte-identical to
 // the pre-segment store — and with it on, the differential suites
 // (storage_segment_test, storage_soak_test, bench_storage E25) prove
@@ -37,12 +37,11 @@
 
 namespace arbd::stream {
 
-// ARBD_SEGMENT_BYTES: target sealed-segment size in key+payload bytes.
-// Unset/"0"/not a whole number (e.g. "64k") -> 0 (segmentation off: the flat single-batch store,
-// byte-identical to the pre-segment partition). The value is cached on
-// first read, so the flag costs one relaxed load on the append path.
-std::size_t SegmentBytesTarget();
-// Test/bench override (the differential harnesses flip modes in-process).
+// The seal target a TopicConfig starts with: RuntimeConfig::segment_bytes
+// of the process, unless overridden below.
+std::size_t DefaultSegmentBytes();
+// Overrides DefaultSegmentBytes for topic configs built after the call.
+// Topics that already exist keep the target they were created with.
 void SetSegmentBytesTarget(std::size_t bytes);
 
 // Rows per index block. Small enough that a point query touches little

@@ -4,8 +4,8 @@
 #include <functional>
 #include <thread>
 
-#include "common/env.h"
 #include "common/rng.h"
+#include "common/runtime.h"
 #include "common/serialize.h"
 
 namespace arbd::trace {
@@ -23,22 +23,14 @@ std::uint64_t HashName(const std::string& name) {
 
 }  // namespace
 
-TracerConfig TracerConfig::FromEnv() {
-  TracerConfig cfg;
-  cfg.enabled = EnvFlag("ARBD_TRACE");
-  const auto ring = EnvInt("ARBD_TRACE_RING");
-  if (ring && *ring > 0) cfg.ring_capacity = static_cast<std::size_t>(*ring);
-  const auto seed = EnvInt("ARBD_TRACE_SEED");
-  if (seed && *seed != 0) cfg.seed = static_cast<std::uint64_t>(*seed);
-  return cfg;
-}
-
 Tracer::Tracer(TracerConfig cfg) : cfg_(cfg), enabled_(cfg.enabled) {
   if (cfg_.ring_capacity == 0) cfg_.ring_capacity = 1;
 }
 
 Tracer& Tracer::Global() {
-  static Tracer tracer(TracerConfig::FromEnv());
+  static Tracer tracer(TracerConfig{.enabled = RuntimeConfig::Process().trace,
+                                    .ring_capacity = RuntimeConfig::Process().trace_ring,
+                                    .seed = RuntimeConfig::Process().trace_seed});
   return tracer;
 }
 

@@ -76,17 +76,13 @@ struct TracerConfig {
   // Completed-span ring capacity per thread shard (kShards rings total).
   std::size_t ring_capacity = 16384;
   std::uint64_t seed = 0x7ace5eedULL;
-
-  // Reads ARBD_TRACE (1/true/on enables), ARBD_TRACE_RING, ARBD_TRACE_SEED
-  // (common/env.h parses each).
-  static TracerConfig FromEnv();
 };
 
 class Tracer {
  public:
   explicit Tracer(TracerConfig cfg = {});
 
-  // Process-wide tracer configured from the environment once (ARBD_TRACE=1
+  // Process-wide tracer configured from RuntimeConfig::Process() (ARBD_TRACE=1
   // turns the whole platform's instrumentation on without touching call
   // sites — the "always-on with cheap off-path" discipline).
   static Tracer& Global();

@@ -2,14 +2,13 @@
 // cover, metadata-log replay across split/merge, the exactly-once
 // split/merge handoff (sealed fences, inherited dedup tables, producer
 // rerouting, consumer drain of parent + children), the threshold-driven
-// autoscaler, the ARBD_AUTOSCALE gate — plus the three companion
-// regressions: atomic SeekToTimestamp, cluster-rerouted historical
-// queries after a leader kill, and the round-robin cursor reset on
-// rebalance.
+// autoscaler, children inheriting the parent topic's seal target — plus
+// the three companion regressions: atomic SeekToTimestamp,
+// cluster-rerouted historical queries after a leader kill, and the
+// round-robin cursor reset on rebalance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <set>
@@ -426,16 +425,40 @@ TEST(Autoscale, ColdSiblingsMergeBack) {
   EXPECT_EQ(*replay, cluster.controller().StateDigest());
 }
 
-TEST(Autoscale, EnvGateParsesAndDefaultsOff) {
-  unsetenv("ARBD_AUTOSCALE");
-  EXPECT_FALSE(cluster::AutoscaleFromEnv());
-  setenv("ARBD_AUTOSCALE", "1", 1);
-  EXPECT_TRUE(cluster::AutoscaleFromEnv());
-  setenv("ARBD_AUTOSCALE", "true", 1);
-  EXPECT_TRUE(cluster::AutoscaleFromEnv());
-  setenv("ARBD_AUTOSCALE", "0", 1);
-  EXPECT_FALSE(cluster::AutoscaleFromEnv());
-  unsetenv("ARBD_AUTOSCALE");
+TEST(Autoscale, SplitChildrenSealAtTheParentsTarget) {
+  // The seal target is a topic setting captured by every partition when
+  // it is built, so the children a split creates seal where the parent
+  // topic does — here every 8 rows of 16 key+payload bytes — and a flat
+  // topic's children stay flat, whatever the process default.
+  SimClock clock;
+  stream::Broker broker(clock);
+  cluster::ClusterConfig cc;
+  cc.brokers = 2;
+  cluster::BrokerCluster cluster(broker, cc);
+  for (const std::size_t target : {128u, 0u}) {
+    const std::string name = "segsplit" + std::to_string(target);
+    stream::TopicConfig tc;
+    tc.partitions = 1;
+    tc.replication_factor = 1;
+    tc.segment_bytes = target;
+    ASSERT_TRUE(cluster.CreateTopic(name, tc).ok());
+    ASSERT_TRUE(cluster.SplitPartition(name, 0).ok());
+    ASSERT_EQ(cluster.LiveLeaves(name), (std::vector<PartitionId>{1, 2}));
+    auto topic = broker.GetTopic(name);
+    ASSERT_TRUE(topic.ok());
+    for (const PartitionId child : {PartitionId{1}, PartitionId{2}}) {
+      for (int i = 0; i < 64; ++i) {
+        ASSERT_TRUE(broker
+                        .ProduceToPartition(name, child,
+                                            stream::Record::MakeText(
+                                                "k" + std::to_string(i % 10),
+                                                std::string(14, 'v'), TimePoint::FromMillis(i)))
+                        .ok());
+      }
+      EXPECT_EQ((*topic)->partition(child).sealed_segment_count(), target == 0 ? 0u : 8u)
+          << name << " child " << child;
+    }
+  }
 }
 
 TEST(Autoscale, ArmedButIdleMatchesFlatDigest) {

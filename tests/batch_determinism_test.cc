@@ -6,16 +6,15 @@
 // Every determinism-sensitive observable — consumed rows, committed-log
 // digests, broker counters, scenario digests, failover audits — must be
 // the same whichever form carries it, across five seeds and replication
-// factors {1, 3}. Each TEST runs in its own ctest process
-// (gtest_discover_tests), so setenv cannot leak into sibling tests.
+// factors {1, 3}.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/runtime.h"
 #include "common/serialize.h"
 #include "exec/executor.h"
 #include "scenarios/digest.h"
@@ -30,10 +29,13 @@ namespace {
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3, 4, 5};
 
-exec::ExecConfig Cfg(std::size_t workers) {
-  exec::ExecConfig cfg;
-  cfg.workers = workers;
-  return cfg;
+// The process configuration with the worker count and replication factor
+// overridden.
+RuntimeConfig Cfg(std::size_t workers, std::uint32_t replicas) {
+  RuntimeConfig rc = RuntimeConfig::Process();
+  rc.exec_workers = workers;
+  rc.replicas = replicas;
+  return rc;
 }
 
 enum class ReadForm { kRows, kColumns };
@@ -54,13 +56,15 @@ void WriteRow(BinaryWriter& w, std::uint64_t key_hash, stream::Offset offset,
 // rows via ParallelFetchAll, or as columns via Broker::FetchBatch) and
 // truncated. The digest folds produce reports, every consumed row, the
 // committed-log digest, and the broker counters.
-std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers, ReadForm form) {
+std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers, ReadForm form,
+                                   std::uint32_t replicas) {
   SimClock clock;
   stream::Broker broker(clock);
-  exec::Executor ex(Cfg(workers));
+  exec::Executor ex(exec::ExecConfig{.workers = workers});
   stream::TopicConfig tc;
   tc.partitions = 4;
   tc.max_records = 128;
+  tc.replication_factor = replicas;
   EXPECT_TRUE(broker.CreateTopic("batch.diff", tc).ok());
 
   Rng rng(seed ^ 0xbadc0deULL);
@@ -137,61 +141,46 @@ std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers, Read
 
 // Rows and columns digest the same at every worker count, and the digest
 // does not depend on the worker count.
-void ExpectBrokerParity() {
+void ExpectBrokerParity(std::uint32_t replicas) {
   for (const std::uint64_t seed : kSeeds) {
-    const std::uint64_t reference = BrokerWorkloadDigest(seed, 1, ReadForm::kRows);
+    const std::uint64_t reference = BrokerWorkloadDigest(seed, 1, ReadForm::kRows, replicas);
     for (const std::size_t workers : {1u, 4u}) {
-      EXPECT_EQ(BrokerWorkloadDigest(seed, workers, ReadForm::kRows), reference)
+      EXPECT_EQ(BrokerWorkloadDigest(seed, workers, ReadForm::kRows, replicas), reference)
           << "rows workers=" << workers << " seed=" << seed;
-      EXPECT_EQ(BrokerWorkloadDigest(seed, workers, ReadForm::kColumns), reference)
+      EXPECT_EQ(BrokerWorkloadDigest(seed, workers, ReadForm::kColumns, replicas), reference)
           << "columns workers=" << workers << " seed=" << seed;
     }
   }
 }
 
-TEST(BatchDeterminism, BrokerWorkloadDigestFactorOne) {
-  setenv("ARBD_REPLICAS", "1", 1);
-  ExpectBrokerParity();
-  unsetenv("ARBD_REPLICAS");
-}
+TEST(BatchDeterminism, BrokerWorkloadDigestFactorOne) { ExpectBrokerParity(1); }
 
-TEST(BatchDeterminism, BrokerWorkloadDigestFactorThree) {
-  setenv("ARBD_REPLICAS", "3", 1);
-  ExpectBrokerParity();
-  unsetenv("ARBD_REPLICAS");
-}
+TEST(BatchDeterminism, BrokerWorkloadDigestFactorThree) { ExpectBrokerParity(3); }
 
 // Platform ingest: the serial drain (workers=1) and the parallel drain
 // (workers=4) of the same polled batches give the same scenario digest.
 template <typename DigestFn>
-void ExpectDrainParity(DigestFn&& digest) {
+void ExpectDrainParity(DigestFn&& digest, std::uint32_t replicas) {
   for (const std::uint64_t seed : kSeeds) {
-    EXPECT_EQ(digest(seed, Cfg(1)), digest(seed, Cfg(4))) << "seed=" << seed;
+    EXPECT_EQ(digest(seed, Cfg(1, replicas)), digest(seed, Cfg(4, replicas)))
+        << "seed=" << seed;
   }
 }
 
 TEST(BatchDeterminism, TourismDigestFactorOne) {
-  setenv("ARBD_REPLICAS", "1", 1);
-  ExpectDrainParity(scenarios::TourismDigest);
-  unsetenv("ARBD_REPLICAS");
+  ExpectDrainParity(scenarios::TourismDigest, 1);
 }
 
 TEST(BatchDeterminism, TourismDigestFactorThree) {
-  setenv("ARBD_REPLICAS", "3", 1);
-  ExpectDrainParity(scenarios::TourismDigest);
-  unsetenv("ARBD_REPLICAS");
+  ExpectDrainParity(scenarios::TourismDigest, 3);
 }
 
 TEST(BatchDeterminism, OverloadDigestFactorOne) {
-  setenv("ARBD_REPLICAS", "1", 1);
-  ExpectDrainParity(scenarios::OverloadDigest);
-  unsetenv("ARBD_REPLICAS");
+  ExpectDrainParity(scenarios::OverloadDigest, 1);
 }
 
 TEST(BatchDeterminism, OverloadDigestFactorThree) {
-  setenv("ARBD_REPLICAS", "3", 1);
-  ExpectDrainParity(scenarios::OverloadDigest);
-  unsetenv("ARBD_REPLICAS");
+  ExpectDrainParity(scenarios::OverloadDigest, 3);
 }
 
 // Failover soak under injected crashes and torn writes: the size of the

@@ -2,12 +2,11 @@
 // consistent-hash placement and leader balance, replication-factor
 // clamping (live-broker and [1,8] boundaries), the metadata controller's
 // rebuild-from-log invariant, broker kill/restore failover with routing,
-// netsplit minority fencing, the ARBD_CLUSTER passthrough, and the
+// netsplit minority fencing, the size-1 platform passthrough, and the
 // rolling-kill soak's zero-loss / zero-duplicate contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 
 #include "cluster/cluster.h"
@@ -93,7 +92,7 @@ TEST(Placement, ExplicitFactorAboveEightClampsInTopic) {
 }
 
 TEST(Controller, ReplayRebuildsLiveState) {
-  cluster::MetadataController ctl(4, 3, 11);
+  cluster::MetadataController ctl(4, 3, 11, stream::DefaultSegmentBytes());
   ASSERT_TRUE(ctl.Append({.kind = cluster::MetaEventKind::kBrokerUp, .broker = 0,
                           .epoch = 1}).ok());
   const cluster::HashRing ring(4, 32, 11);
@@ -115,7 +114,7 @@ TEST(Controller, ReplayRebuildsLiveState) {
 }
 
 TEST(Controller, SurvivesItsOwnLeaderCrash) {
-  cluster::MetadataController ctl(4, 3, 5);
+  cluster::MetadataController ctl(4, 3, 5, stream::DefaultSegmentBytes());
   ASSERT_TRUE(ctl.Append({.kind = cluster::MetaEventKind::kBrokerUp, .broker = 0,
                           .epoch = 1}).ok());
   // Kill the metadata log's own leader: the next append must ride the
@@ -235,22 +234,11 @@ TEST(BrokerCluster, DigestMatchesUnclusteredBroker) {
   EXPECT_EQ(run(8), bare);
 }
 
-TEST(BrokerCluster, EnvSizeParsesAndClamps) {
-  ::setenv("ARBD_CLUSTER", "4", 1);
-  EXPECT_EQ(cluster::ClusterSizeFromEnv(), 4u);
-  ::setenv("ARBD_CLUSTER", "99", 1);
-  EXPECT_EQ(cluster::ClusterSizeFromEnv(), 16u);
-  ::setenv("ARBD_CLUSTER", "bogus", 1);
-  EXPECT_EQ(cluster::ClusterSizeFromEnv(), 1u);
-  ::unsetenv("ARBD_CLUSTER");
-  EXPECT_EQ(cluster::ClusterSizeFromEnv(), 1u);
-}
-
 TEST(BrokerCluster, PlatformPassthroughAtSizeOne) {
-  ::unsetenv("ARBD_CLUSTER");
   const geo::CityModel city = geo::CityModel::Generate(geo::CityConfig{}, 51);
   SimClock clock;
   core::PlatformConfig pc;
+  pc.cluster_brokers = 1;
   core::Platform passthrough(pc, city, clock);
   EXPECT_EQ(passthrough.cluster(), nullptr) << "size 1 builds no cluster at all";
 

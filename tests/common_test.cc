@@ -9,14 +9,11 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/runtime.h"
 #include "common/serialize.h"
 #include "common/status.h"
-#include "exec/executor.h"
-#include "stream/replication.h"
-#include "trace/tracer.h"
 
 namespace arbd {
 namespace {
@@ -342,90 +339,127 @@ TEST(Fnv1a, StableAndDistinct) {
   EXPECT_NE(Fnv1a(std::string("")), Fnv1a(std::string("a")));
 }
 
-// Sets ARBD_* variables for one test and restores every one it touched,
-// so no value leaks into a later test run in the same process.
-class EnvTest : public ::testing::Test {
- protected:
-  void Set(const char* name, const char* value) {
-    Save(name);
-    setenv(name, value, 1);
-  }
-  void Unset(const char* name) {
-    Save(name);
-    unsetenv(name);
-  }
-  void TearDown() override {
-    for (const auto& [name, old] : saved_) {
-      if (old) {
-        setenv(name.c_str(), old->c_str(), 1);
-      } else {
-        unsetenv(name.c_str());
-      }
-    }
-  }
-
- private:
-  void Save(const char* name) {
-    if (saved_.contains(name)) return;
-    const char* old = std::getenv(name);
-    saved_[name] = old ? std::optional<std::string>(old) : std::nullopt;
-  }
-
-  std::map<std::string, std::optional<std::string>> saved_;
+// The ARBD_* knobs RuntimeConfig::FromEnv parses, one row per input: the
+// row's variable is set (or unset, for a null value), FromEnv runs, and
+// the field that variable feeds must read `want`. The tests below are
+// the only ones that touch the environment; each restores every variable
+// it set.
+struct EnvRow {
+  const char* var;
+  const char* value;  // nullptr = unset
+  std::int64_t want;
 };
 
-TEST_F(EnvTest, FlagAcceptsOneTrueOn) {
-  for (const char* on : {"1", "true", "on"}) {
-    Set("ARBD_TEST_FLAG", on);
-    EXPECT_TRUE(EnvFlag("ARBD_TEST_FLAG")) << on;
+void ExpectFromEnv(const std::vector<EnvRow>& rows) {
+  using Field = std::int64_t (*)(const RuntimeConfig&);
+  const std::map<std::string, Field> fields = {
+      {"ARBD_EXEC_WORKERS", [](const RuntimeConfig& c) -> std::int64_t { return c.exec_workers; }},
+      {"ARBD_TRACE", [](const RuntimeConfig& c) -> std::int64_t { return c.trace; }},
+      {"ARBD_TRACE_RING", [](const RuntimeConfig& c) -> std::int64_t { return c.trace_ring; }},
+      {"ARBD_TRACE_SEED",
+       [](const RuntimeConfig& c) { return static_cast<std::int64_t>(c.trace_seed); }},
+      {"ARBD_CLUSTER", [](const RuntimeConfig& c) -> std::int64_t { return c.cluster_brokers; }},
+      {"ARBD_AUTOSCALE", [](const RuntimeConfig& c) -> std::int64_t { return c.autoscale; }},
+      {"ARBD_HEALTH", [](const RuntimeConfig& c) -> std::int64_t { return c.health; }},
+      {"ARBD_REPLICAS", [](const RuntimeConfig& c) -> std::int64_t { return c.replicas; }},
+      {"ARBD_SEGMENT_BYTES",
+       [](const RuntimeConfig& c) -> std::int64_t { return c.segment_bytes; }},
+  };
+  std::map<std::string, std::optional<std::string>> saved;
+  for (const EnvRow& r : rows) {
+    if (saved.contains(r.var)) continue;
+    const char* old = std::getenv(r.var);
+    saved[r.var] = old ? std::optional<std::string>(old) : std::nullopt;
   }
+  for (const EnvRow& r : rows) {
+    if (r.value == nullptr) {
+      unsetenv(r.var);
+    } else {
+      setenv(r.var, r.value, 1);
+    }
+    EXPECT_EQ(fields.at(r.var)(RuntimeConfig::FromEnv()), r.want)
+        << r.var << "=" << (r.value ? '"' + std::string(r.value) + '"' : "(unset)");
+  }
+  for (const auto& [var, old] : saved) {
+    if (old) {
+      setenv(var.c_str(), old->c_str(), 1);
+    } else {
+      unsetenv(var.c_str());
+    }
+  }
+}
+
+const std::int64_t kDefaultSeed = static_cast<std::int64_t>(RuntimeConfig{}.trace_seed);
+
+// Anything but a whole decimal number leaves a numeric field at its default.
+constexpr const char* kNotWholeNumbers[] = {
+    "", "64k", "3x", "4x", "1.5", " 4", "4 ", "+4", "0x10", "-", "99999999999999999999"};
+
+TEST(EnvTest, FlagAcceptsOneTrueOn) {
+  std::vector<EnvRow> rows;
+  for (const char* on : {"1", "true", "on"}) rows.push_back({"ARBD_TRACE", on, 1});
   for (const char* off : {"0", "", "false", "off", "yes", "ON", "1 ", "2"}) {
-    Set("ARBD_TEST_FLAG", off);
-    EXPECT_FALSE(EnvFlag("ARBD_TEST_FLAG")) << '"' << off << '"';
+    rows.push_back({"ARBD_TRACE", off, 0});
   }
-  Unset("ARBD_TEST_FLAG");
-  EXPECT_FALSE(EnvFlag("ARBD_TEST_FLAG"));
+  rows.push_back({"ARBD_TRACE", nullptr, 0});
+  ExpectFromEnv(rows);
 }
 
-TEST_F(EnvTest, IntAcceptsOnlyWholeDecimalNumbers) {
-  Set("ARBD_TEST_INT", "1024");
-  EXPECT_EQ(EnvInt("ARBD_TEST_INT"), 1024);
-  Set("ARBD_TEST_INT", "-3");
-  EXPECT_EQ(EnvInt("ARBD_TEST_INT"), -3);
-  Set("ARBD_TEST_INT", "0");
-  EXPECT_EQ(EnvInt("ARBD_TEST_INT"), 0);
-  for (const char* bad : {"", "64k", "3x", "4x", "1.5", " 4", "4 ", "+4", "0x10", "-",
-                          "99999999999999999999"}) {
-    Set("ARBD_TEST_INT", bad);
-    EXPECT_EQ(EnvInt("ARBD_TEST_INT"), std::nullopt) << '"' << bad << '"';
-  }
-  Unset("ARBD_TEST_INT");
-  EXPECT_EQ(EnvInt("ARBD_TEST_INT"), std::nullopt);
+TEST(EnvTest, IntAcceptsOnlyWholeDecimalNumbers) {
+  // ARBD_TRACE_SEED keeps any nonzero value, so it shows exactly which
+  // inputs parse.
+  std::vector<EnvRow> rows = {{"ARBD_TRACE_SEED", "1024", 1024},
+                              {"ARBD_TRACE_SEED", "-3", -3},
+                              {"ARBD_TRACE_SEED", "0", kDefaultSeed}};
+  for (const char* bad : kNotWholeNumbers) rows.push_back({"ARBD_TRACE_SEED", bad, kDefaultSeed});
+  rows.push_back({"ARBD_TRACE_SEED", nullptr, kDefaultSeed});
+  ExpectFromEnv(rows);
 }
 
-TEST_F(EnvTest, ReplicasWithSuffixFallsBackToOne) {
-  Set("ARBD_REPLICAS", "3");
-  EXPECT_EQ(stream::ReplicationFactorFromEnv(), 3u);
-  Set("ARBD_REPLICAS", "3x");
-  EXPECT_EQ(stream::ReplicationFactorFromEnv(), 1u);
-  Set("ARBD_REPLICAS", "99");
-  EXPECT_EQ(stream::ReplicationFactorFromEnv(), 8u);
+TEST(EnvTest, ReplicasWithSuffixFallsBackToOne) {
+  ExpectFromEnv({{"ARBD_REPLICAS", "3", 3}, {"ARBD_REPLICAS", "3x", 1}, {"ARBD_REPLICAS", "99", 8}});
 }
 
-TEST_F(EnvTest, ExecWorkersWithSuffixKeepsOneWorker) {
-  Set("ARBD_EXEC_WORKERS", "4");
-  EXPECT_EQ(exec::ExecConfig::FromEnv().workers, 4u);
-  Set("ARBD_EXEC_WORKERS", "4x");
-  EXPECT_EQ(exec::ExecConfig::FromEnv().workers, 1u);
-  Set("ARBD_EXEC_WORKERS", "65");
-  EXPECT_EQ(exec::ExecConfig::FromEnv().workers, 1u);
+TEST(EnvTest, ExecWorkersWithSuffixKeepsOneWorker) {
+  ExpectFromEnv({{"ARBD_EXEC_WORKERS", "4", 4}, {"ARBD_EXEC_WORKERS", "64", 64},
+                 {"ARBD_EXEC_WORKERS", "4x", 1}, {"ARBD_EXEC_WORKERS", "65", 1},
+                 {"ARBD_EXEC_WORKERS", "0", 1}, {"ARBD_EXEC_WORKERS", nullptr, 1}});
 }
 
-TEST_F(EnvTest, TraceOnEnablesTracing) {
-  Set("ARBD_TRACE", "on");
-  EXPECT_TRUE(trace::TracerConfig::FromEnv().enabled);
-  Set("ARBD_TRACE", "0");
-  EXPECT_FALSE(trace::TracerConfig::FromEnv().enabled);
+TEST(EnvTest, TraceOnEnablesTracing) {
+  ExpectFromEnv({{"ARBD_TRACE", "on", 1}, {"ARBD_TRACE", "0", 0}});
+}
+
+TEST(BrokerCluster, EnvSizeParsesAndClamps) {
+  std::vector<EnvRow> rows = {{"ARBD_CLUSTER", "4", 4},
+                              {"ARBD_CLUSTER", "99", 16},
+                              {"ARBD_CLUSTER", "bogus", 1},
+                              {"ARBD_CLUSTER", "0", 1},
+                              {"ARBD_CLUSTER", nullptr, 1}};
+  for (const char* bad : kNotWholeNumbers) rows.push_back({"ARBD_CLUSTER", bad, 1});
+  ExpectFromEnv(rows);
+}
+
+TEST(Replication, FactorFromEnvClampsAndDefaults) {
+  ExpectFromEnv({{"ARBD_REPLICAS", nullptr, 1}, {"ARBD_REPLICAS", "3", 3},
+                 {"ARBD_REPLICAS", "99", 8}, {"ARBD_REPLICAS", "0", 1},
+                 {"ARBD_REPLICAS", "garbage", 1}});
+}
+
+TEST(Autoscale, EnvGateParsesAndDefaultsOff) {
+  ExpectFromEnv({{"ARBD_AUTOSCALE", nullptr, 0}, {"ARBD_AUTOSCALE", "1", 1},
+                 {"ARBD_AUTOSCALE", "true", 1}, {"ARBD_AUTOSCALE", "0", 0}});
+}
+
+// The knobs without a test of their own above.
+TEST(RuntimeConfig, FromEnv) {
+  const auto ring = static_cast<std::int64_t>(RuntimeConfig{}.trace_ring);
+  ExpectFromEnv({{"ARBD_HEALTH", "on", 1}, {"ARBD_HEALTH", nullptr, 0},
+                 {"ARBD_TRACE_RING", "128", 128}, {"ARBD_TRACE_RING", "0", ring},
+                 {"ARBD_TRACE_RING", "-1", ring}, {"ARBD_TRACE_RING", "4k", ring},
+                 {"ARBD_SEGMENT_BYTES", "1024", 1024}, {"ARBD_SEGMENT_BYTES", "64k", 0},
+                 {"ARBD_SEGMENT_BYTES", "-3", 0}, {"ARBD_SEGMENT_BYTES", "0", 0},
+                 {"ARBD_SEGMENT_BYTES", nullptr, 0}});
 }
 
 }  // namespace

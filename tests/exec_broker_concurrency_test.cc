@@ -2,8 +2,9 @@
 // under TSan in CI): raw std::thread clients hammering disjoint
 // partitions with Produce/Fetch/TruncateBefore, budgeted producers racing
 // a truncating consumer with exact accounting invariants, the
-// ParallelProduce outcome-digest equivalence against the serial loop, and
-// historical queries racing appends, seals and truncation.
+// ParallelProduce outcome-digest equivalence against the serial loop,
+// historical queries racing appends, seals and truncation, and two topics
+// with different seal targets written side by side.
 #include <atomic>
 #include <string>
 #include <thread>
@@ -16,7 +17,6 @@
 #include "exec/executor.h"
 #include "stream/log.h"
 #include "stream/parallel.h"
-#include "stream/segment.h"
 
 namespace arbd {
 namespace {
@@ -240,12 +240,11 @@ TEST(BrokerConcurrency, HistoricalQueriesRaceAppendsSealsAndTruncation) {
   // into sealed segments and the active batch behind it, and three readers
   // run QueryTime, QueryRange and OffsetForTimestamp throughout. Every
   // answer must be a well-formed slice of the log.
-  const std::size_t prev_target = stream::SegmentBytesTarget();
-  stream::SetSegmentBytesTarget(512);  // before any thread starts
   SimClock clock;
   stream::Broker broker(clock);
   stream::TopicConfig tc;
   tc.partitions = 1;
+  tc.segment_bytes = 512;
   ASSERT_TRUE(broker.CreateTopic("conc.query", tc).ok());
   auto topic = broker.GetTopic("conc.query");
   ASSERT_TRUE(topic.ok());
@@ -349,7 +348,6 @@ TEST(BrokerConcurrency, HistoricalQueriesRaceAppendsSealsAndTruncation) {
   producer.join();
   truncator.join();
   for (auto& r : readers) r.join();
-  stream::SetSegmentBytesTarget(prev_target);
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(answers.load(), 0u);
@@ -362,6 +360,87 @@ TEST(BrokerConcurrency, HistoricalQueriesRaceAppendsSealsAndTruncation) {
   for (std::size_t i = 0; i < fetched->size(); ++i) {
     EXPECT_EQ(all->rows[i].offset, (*fetched)[i].offset);
     EXPECT_EQ(all->rows[i].record.payload, (*fetched)[i].record.payload);
+  }
+}
+
+TEST(BrokerConcurrency, SealTargetIsPerTopic) {
+  // One broker, two topics that differ only in seal target: "seal.seg"
+  // seals every 256 key+payload bytes, "seal.flat" never does. Two
+  // writers append the same records to one topic each, kept within 8
+  // records of each other, while a reader runs QueryTime on both. The
+  // writers wait halfway until the reader has answered, so queries always
+  // overlap appends however the threads are scheduled. Each partition
+  // holds its own target, so the layouts part ways while every row agrees.
+  SimClock clock;
+  stream::Broker broker(clock);
+  const std::string topics[2] = {"seal.seg", "seal.flat"};
+  for (const std::string& name : topics) {
+    stream::TopicConfig tc;
+    tc.partitions = 1;
+    tc.segment_bytes = name == "seal.seg" ? 256 : 0;
+    ASSERT_TRUE(broker.CreateTopic(name, tc).ok());
+  }
+
+  constexpr std::int64_t kRecords = 2'000;
+  std::atomic<std::int64_t> appended[2] = {0, 0};
+  std::atomic<int> failures{0};
+  std::atomic<std::uint64_t> answers{0};
+  const auto writer = [&](int me) {
+    for (std::int64_t i = 0; i < kRecords; ++i) {
+      while (i - appended[1 - me].load() > 8) std::this_thread::yield();
+      while (i == kRecords / 2 && answers.load() == 0) std::this_thread::yield();
+      auto off = broker.ProduceToPartition(
+          topics[me], 0, Rec("k" + std::to_string(i % 8), static_cast<std::uint8_t>(i), i));
+      if (!off.ok() || *off != i) failures.fetch_add(1);
+      appended[me].store(i + 1);
+    }
+  };
+  std::thread seg_writer(writer, 0);
+  std::thread flat_writer(writer, 1);
+  std::thread reader([&] {
+    Rng rng(5);
+    while (appended[0].load() < kRecords || appended[1].load() < kRecords) {
+      const auto lo = TimePoint::FromMillis(static_cast<std::int64_t>(rng.NextBelow(kRecords)));
+      const auto hi = lo + Duration::Millis(1 + static_cast<std::int64_t>(rng.NextBelow(100)));
+      for (const std::string& name : topics) {
+        auto res = broker.QueryTime(name, 0, lo, hi);
+        if (!res.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (const stream::StoredRecord& sr : res->rows) {
+          if (sr.record.event_time < lo || sr.record.event_time >= hi ||
+              sr.record.event_time != TimePoint::FromMillis(sr.offset)) {
+            failures.fetch_add(1);
+          }
+        }
+        answers.fetch_add(1);
+      }
+    }
+  });
+  seg_writer.join();
+  flat_writer.join();
+  reader.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(answers.load(), 0u);
+  auto seg = broker.GetTopic("seal.seg");
+  auto flat = broker.GetTopic("seal.flat");
+  ASSERT_TRUE(seg.ok() && flat.ok());
+  EXPECT_GT((*seg)->partition(0).sealed_segment_count(), 0u);
+  EXPECT_EQ((*flat)->partition(0).sealed_segment_count(), 0u);
+  auto seg_rows = broker.Fetch("seal.seg", 0, 0, kRecords);
+  auto flat_rows = broker.Fetch("seal.flat", 0, 0, kRecords);
+  ASSERT_TRUE(seg_rows.ok() && flat_rows.ok());
+  ASSERT_EQ(seg_rows->size(), static_cast<std::size_t>(kRecords));
+  ASSERT_EQ(flat_rows->size(), seg_rows->size());
+  for (std::size_t i = 0; i < seg_rows->size(); ++i) {
+    const stream::StoredRecord& a = (*seg_rows)[i];
+    const stream::StoredRecord& b = (*flat_rows)[i];
+    EXPECT_EQ(a.offset, b.offset);
+    EXPECT_EQ(a.record.key, b.record.key);
+    EXPECT_EQ(a.record.payload, b.record.payload);
+    EXPECT_EQ(a.record.event_time, b.record.event_time);
   }
 }
 

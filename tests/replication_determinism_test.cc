@@ -4,25 +4,26 @@
 // the committed-log digest; (b) the committed digest is invariant across
 // crash schedules and replication factors — crashes cost retries and
 // elections, never content; (c) replication is inert at factor 1: the
-// Tourism and Overload scenario digests are byte-identical with
-// ARBD_REPLICAS unset, "1", and (since their workloads never hit an
-// unavailable replica) "3". setenv here is safe: gtest_discover_tests
-// runs every TEST in its own ctest process.
+// Tourism and Overload scenario digests are byte-identical at the
+// process default factor, at 1, and (since their workloads never hit an
+// unavailable replica) at 3.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "exec/executor.h"
+#include "common/runtime.h"
 #include "scenarios/digest.h"
 #include "scenarios/failover.h"
 
 namespace arbd {
 namespace {
 
-exec::ExecConfig Cfg(std::size_t workers) {
-  exec::ExecConfig cfg;
-  cfg.workers = workers;
-  return cfg;
+// The process configuration with the worker count and replication factor
+// overridden.
+RuntimeConfig Cfg(std::size_t workers,
+                  std::uint32_t replicas = RuntimeConfig::Process().replicas) {
+  RuntimeConfig rc = RuntimeConfig::Process();
+  rc.exec_workers = workers;
+  rc.replicas = replicas;
+  return rc;
 }
 
 scenarios::FailoverConfig SoakCfg(std::uint64_t seed) {
@@ -86,42 +87,23 @@ TEST(ReplicationDeterminism, CommittedDigestInvariantAcrossSchedulesAndFactors) 
 }
 
 // --- Inertness gates: pre-replication scenario digests are untouched. ---
-//
-// Each TEST below runs in its own process (gtest_discover_tests), so the
-// setenv cannot leak into sibling tests.
 
 TEST(ReplicationDeterminism, TourismDigestInertAtFactorOne) {
-  unsetenv("ARBD_REPLICAS");
-  const std::uint64_t unset = scenarios::TourismDigest(11, Cfg(1));
-  setenv("ARBD_REPLICAS", "1", 1);
-  EXPECT_EQ(scenarios::TourismDigest(11, Cfg(1)), unset);
-  unsetenv("ARBD_REPLICAS");
+  EXPECT_EQ(scenarios::TourismDigest(11, Cfg(1, 1)), scenarios::TourismDigest(11, Cfg(1)));
 }
 
 TEST(ReplicationDeterminism, TourismDigestUnchangedAtFactorThree) {
   // No fault plan and no kills: every quorum append succeeds, so the
   // replicated path must commit the exact same log as the single copy.
-  unsetenv("ARBD_REPLICAS");
-  const std::uint64_t unset = scenarios::TourismDigest(11, Cfg(4));
-  setenv("ARBD_REPLICAS", "3", 1);
-  EXPECT_EQ(scenarios::TourismDigest(11, Cfg(4)), unset);
-  unsetenv("ARBD_REPLICAS");
+  EXPECT_EQ(scenarios::TourismDigest(11, Cfg(4, 3)), scenarios::TourismDigest(11, Cfg(4, 1)));
 }
 
 TEST(ReplicationDeterminism, OverloadDigestInertAtFactorOne) {
-  unsetenv("ARBD_REPLICAS");
-  const std::uint64_t unset = scenarios::OverloadDigest(17, Cfg(1));
-  setenv("ARBD_REPLICAS", "1", 1);
-  EXPECT_EQ(scenarios::OverloadDigest(17, Cfg(1)), unset);
-  unsetenv("ARBD_REPLICAS");
+  EXPECT_EQ(scenarios::OverloadDigest(17, Cfg(1, 1)), scenarios::OverloadDigest(17, Cfg(1)));
 }
 
 TEST(ReplicationDeterminism, OverloadDigestUnchangedAtFactorThree) {
-  unsetenv("ARBD_REPLICAS");
-  const std::uint64_t unset = scenarios::OverloadDigest(17, Cfg(4));
-  setenv("ARBD_REPLICAS", "3", 1);
-  EXPECT_EQ(scenarios::OverloadDigest(17, Cfg(4)), unset);
-  unsetenv("ARBD_REPLICAS");
+  EXPECT_EQ(scenarios::OverloadDigest(17, Cfg(4, 3)), scenarios::OverloadDigest(17, Cfg(4, 1)));
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 // exactly-once transactional sink on CheckpointedJob.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 
+#include "common/runtime.h"
 #include "fault/injector.h"
 #include "stream/log.h"
 #include "stream/recovery.h"
@@ -44,7 +44,7 @@ TEST(Replication, FactorOneIsAPassthrough) {
 }
 
 TEST(Replication, QuorumCommitAdvancesHighWatermark) {
-  stream::Partition committed;
+  stream::Partition committed(stream::DefaultSegmentBytes());
   stream::ReplicatedPartition rp(3, 42, committed);
   for (int i = 0; i < 3; ++i) {
     auto off = rp.Produce(Rec("k", i), TimePoint::FromMillis(i), 1, i + 1);
@@ -67,7 +67,7 @@ TEST(Replication, QuorumCommitAdvancesHighWatermark) {
 
 TEST(Replication, FailoverIsDeterministic) {
   auto run = []() {
-    stream::Partition committed;
+    stream::Partition committed(stream::DefaultSegmentBytes());
     stream::ReplicatedPartition rp(3, 7, committed);
     std::vector<stream::NodeId> leaders;
     std::uint64_t seq = 0;
@@ -93,7 +93,7 @@ TEST(Replication, MidProduceCrashNeverLosesOrDuplicatesAckedRecords) {
   // unknown subset. Whatever happened, the producer's retry with the same
   // (pid, seq) must leave exactly one copy in the committed log.
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    stream::Partition committed;
+    stream::Partition committed(stream::DefaultSegmentBytes());
     stream::ReplicatedPartition rp(3, seed, committed);
     auto first = rp.Produce(Rec("k", 0), TimePoint::FromMillis(0), 1, 1,
                             {/*crash_leader=*/true, /*restore_after_ops=*/3});
@@ -110,7 +110,7 @@ TEST(Replication, MidProduceCrashNeverLosesOrDuplicatesAckedRecords) {
 }
 
 TEST(Replication, StaleEpochAppendIsFenced) {
-  stream::Partition committed;
+  stream::Partition committed(stream::DefaultSegmentBytes());
   stream::ReplicatedPartition rp(3, 1, committed);
   const stream::Epoch old_epoch = rp.epoch();
   ASSERT_TRUE(rp.Produce(Rec("k", 0), TimePoint::FromMillis(0), 1, 1).ok());
@@ -133,7 +133,7 @@ TEST(Replication, DivergentSuffixTruncatedOnRestore) {
   // to replicate to — its unacked entry must be truncated when it rejoins
   // a group whose epoch moved past it, and the retried record commits
   // exactly once through the new leader.
-  stream::Partition committed;
+  stream::Partition committed(stream::DefaultSegmentBytes());
   stream::ReplicatedPartition rp(2, 3, committed);
   ASSERT_TRUE(rp.CrashNode(1).ok());
   ASSERT_TRUE(rp.Produce(Rec("k", 0), TimePoint::FromMillis(0), 1, 1).ok());
@@ -161,7 +161,7 @@ TEST(Replication, DivergentSuffixTruncatedOnRestore) {
 }
 
 TEST(Replication, DedupSurvivesFailover) {
-  stream::Partition committed;
+  stream::Partition committed(stream::DefaultSegmentBytes());
   stream::ReplicatedPartition rp(3, 9, committed);
   auto off = rp.Produce(Rec("k", 0), TimePoint::FromMillis(0), 7, 1);
   ASSERT_TRUE(off.ok());
@@ -174,7 +174,7 @@ TEST(Replication, DedupSurvivesFailover) {
 }
 
 TEST(Replication, IsrShrinksOnFollowerCrashAndRejoins) {
-  stream::Partition committed;
+  stream::Partition committed(stream::DefaultSegmentBytes());
   stream::ReplicatedPartition rp(3, 5, committed);
   const stream::NodeId leader = rp.leader();
   const stream::NodeId follower = leader == 2 ? 0 : 2;
@@ -191,7 +191,7 @@ TEST(Replication, IsrShrinksOnFollowerCrashAndRejoins) {
 }
 
 TEST(Replication, CrashedLeaderAutoRestoresAfterWindow) {
-  stream::Partition committed;
+  stream::Partition committed(stream::DefaultSegmentBytes());
   stream::ReplicatedPartition rp(1, 1, committed);
   ASSERT_TRUE(rp.CrashLeader(/*restore_after_ops=*/3).ok());
   std::uint64_t seq = 0;
@@ -296,37 +296,21 @@ TEST(Replication, TransactionalSinkDeliversEachWindowExactlyOnce) {
   EXPECT_EQ(job.stats().outputs_committed, delivered.size());
 }
 
-TEST(Replication, FactorFromEnvClampsAndDefaults) {
-  unsetenv("ARBD_REPLICAS");
-  EXPECT_EQ(stream::ReplicationFactorFromEnv(), 1u);
-  setenv("ARBD_REPLICAS", "3", 1);
-  EXPECT_EQ(stream::ReplicationFactorFromEnv(), 3u);
-  setenv("ARBD_REPLICAS", "99", 1);
-  EXPECT_EQ(stream::ReplicationFactorFromEnv(), 8u);
-  setenv("ARBD_REPLICAS", "0", 1);
-  EXPECT_EQ(stream::ReplicationFactorFromEnv(), 1u);
-  setenv("ARBD_REPLICAS", "garbage", 1);
-  EXPECT_EQ(stream::ReplicationFactorFromEnv(), 1u);
-  unsetenv("ARBD_REPLICAS");
-}
-
 TEST(Replication, TopicConfigZeroDefersToEnv) {
-  setenv("ARBD_REPLICAS", "3", 1);
+  // Factor 0 takes the process default, RuntimeConfig::replicas
+  // (ARBD_REPLICAS).
   SimClock clock;
   stream::Broker broker(clock);
   ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 2}).ok());
   auto rp = broker.Replication("t", 0);
   ASSERT_TRUE(rp.ok());
-  EXPECT_EQ((*rp)->factor(), 3u);
-  unsetenv("ARBD_REPLICAS");
-  // An explicit factor wins over the environment.
+  EXPECT_EQ((*rp)->factor(), RuntimeConfig::Process().replicas);
+  // An explicit factor wins over the process default.
   stream::TopicConfig tc;
   tc.partitions = 1;
-  tc.replication_factor = 2;
-  setenv("ARBD_REPLICAS", "5", 1);
+  tc.replication_factor = RuntimeConfig::Process().replicas == 2 ? 3 : 2;
   ASSERT_TRUE(broker.CreateTopic("u", tc).ok());
-  EXPECT_EQ(broker.Replication("u", 0).value()->factor(), 2u);
-  unsetenv("ARBD_REPLICAS");
+  EXPECT_EQ(broker.Replication("u", 0).value()->factor(), tc.replication_factor);
 }
 
 }  // namespace

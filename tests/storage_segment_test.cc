@@ -6,12 +6,9 @@
 // differential harness proving segmentation is a pure storage-layout
 // change: every scenario digest, failover committed digest, cluster soak
 // committed digest, and session-replay digest is bit-identical with
-// segments on vs off, across worker counts and replication factors. Each
-// TEST runs in its own ctest process (gtest_discover_tests), so setenv
-// and SetSegmentBytesTarget cannot leak into sibling tests.
+// segments on vs off, across worker counts and replication factors.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
@@ -19,6 +16,7 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/runtime.h"
 #include "scenarios/cluster.h"
 #include "scenarios/digest.h"
 #include "scenarios/failover.h"
@@ -26,28 +24,17 @@
 #include "stream/consumer.h"
 #include "stream/log.h"
 #include "stream/query.h"
-#include "stream/segment.h"
 
 namespace arbd::stream {
 namespace {
 
-// Installs a seal target for the test body, restoring the previous global
-// on destruction (defensive — each TEST is already its own process).
-class SegmentTargetGuard {
- public:
-  explicit SegmentTargetGuard(std::size_t bytes) : prev_(SegmentBytesTarget()) {
-    SetSegmentBytesTarget(bytes);
-  }
-  ~SegmentTargetGuard() { SetSegmentBytesTarget(prev_); }
-
- private:
-  std::size_t prev_;
-};
-
 class SegmentedLogTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ASSERT_TRUE(broker_.CreateTopic("seg", TopicConfig{.partitions = 1}).ok());
+  // Creates the one-partition topic "seg" with seal target `segment_bytes`.
+  void CreateSeg(std::size_t segment_bytes) {
+    ASSERT_TRUE(
+        broker_.CreateTopic("seg", TopicConfig{.partitions = 1, .segment_bytes = segment_bytes})
+            .ok());
   }
 
   // ~16 bytes per record (key "k<id%8>" + payload "v<id>", event time
@@ -77,7 +64,7 @@ class SegmentedLogTest : public ::testing::Test {
 // --- seam coverage ----------------------------------------------------------
 
 TEST_F(SegmentedLogTest, SmallTargetSealsManySegments) {
-  SegmentTargetGuard guard(128);
+  CreateSeg(128);
   ProduceN(200);
   EXPECT_GE(P0().sealed_segment_count(), 8u);
   EXPECT_EQ(P0().size(), 200u);
@@ -86,7 +73,7 @@ TEST_F(SegmentedLogTest, SmallTargetSealsManySegments) {
 }
 
 TEST_F(SegmentedLogTest, FetchStraddlesEverySeamAndTheActiveHead) {
-  SegmentTargetGuard guard(128);
+  CreateSeg(128);
   ProduceN(200);
   ASSERT_GE(P0().sealed_segment_count(), 2u);
   // One fetch spanning the whole log crosses every sealed->sealed seam and
@@ -113,7 +100,7 @@ TEST_F(SegmentedLogTest, FetchStraddlesEverySeamAndTheActiveHead) {
 }
 
 TEST_F(SegmentedLogTest, FetchBatchStraddlesSeamsMatchesAppendedRecords) {
-  SegmentTargetGuard guard(128);
+  CreateSeg(128);
   ProduceN(150);
   ASSERT_GE(P0().sealed_segment_count(), 2u);
   // Record id `id` was appended at offset id with key "k<id%8>", payload
@@ -142,7 +129,7 @@ TEST_F(SegmentedLogTest, FetchBatchStraddlesSeamsMatchesAppendedRecords) {
 }
 
 TEST_F(SegmentedLogTest, PollBatchesDeliversAcrossSeamsExactlyOnce) {
-  SegmentTargetGuard guard(96);
+  CreateSeg(96);
   ProduceN(160);
   ASSERT_GE(P0().sealed_segment_count(), 2u);
   ConsumerGroup group(broker_, "g", "seg");
@@ -169,7 +156,7 @@ TEST_F(SegmentedLogTest, PollBatchesDeliversAcrossSeamsExactlyOnce) {
 }
 
 TEST_F(SegmentedLogTest, FetchBelowDroppedSegmentIsStructuredOutOfRange) {
-  SegmentTargetGuard guard(128);
+  CreateSeg(128);
   ProduceN(200);
   ASSERT_GE(P0().sealed_segment_count(), 2u);
   // Truncate past the first few sealed segments entirely.
@@ -201,7 +188,7 @@ TEST_F(SegmentedLogTest, FetchBelowDroppedSegmentIsStructuredOutOfRange) {
 }
 
 TEST_F(SegmentedLogTest, ConsumerAutoResetsAboveDroppedSegments) {
-  SegmentTargetGuard guard(128);
+  CreateSeg(128);
   ConsumerGroup group(broker_, "g", "seg");
   auto c = group.Join("c0");
   ASSERT_TRUE(c.ok());
@@ -226,12 +213,12 @@ TEST_F(SegmentedLogTest, ConsumerAutoResetsAboveDroppedSegments) {
 // --- depth/byte gauge freshness across segment drops (satellite a) ----------
 
 TEST_F(SegmentedLogTest, GaugesRefreshedByWholeSegmentRetentionDrops) {
-  SegmentTargetGuard guard(128);
   MetricRegistry metrics;
   broker_.set_metrics(&metrics);
   TopicConfig cfg;
   cfg.partitions = 1;
   cfg.retention_records = 40;
+  cfg.segment_bytes = 128;
   ASSERT_TRUE(broker_.CreateTopic("small", cfg).ok());
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(broker_
@@ -264,7 +251,7 @@ TEST_F(SegmentedLogTest, GaugesRefreshedByWholeSegmentRetentionDrops) {
 }
 
 TEST_F(SegmentedLogTest, GaugesRefreshedByPartialFrontSegmentTruncation) {
-  SegmentTargetGuard guard(256);
+  CreateSeg(256);
   MetricRegistry metrics;
   broker_.set_metrics(&metrics);
   ProduceN(200);
@@ -304,7 +291,7 @@ TEST_F(SegmentedLogTest, GaugesRefreshedByPartialFrontSegmentTruncation) {
 // --- query tier -------------------------------------------------------------
 
 TEST_F(SegmentedLogTest, QueryRangeClampsAndMatchesFetch) {
-  SegmentTargetGuard guard(128);
+  CreateSeg(128);
   ProduceN(200);
   ASSERT_TRUE(broker_.TruncateBefore("seg", 0, 30).ok());
   // Bounds straddling the dropped prefix and the end clamp instead of
@@ -336,7 +323,7 @@ TEST_F(SegmentedLogTest, QueryRangeClampsAndMatchesFetch) {
 }
 
 TEST_F(SegmentedLogTest, QueryTimePrunesSegmentsAndBlocks) {
-  SegmentTargetGuard guard(256);
+  CreateSeg(256);
   ProduceN(512);  // event time = i ms, strictly increasing
   ASSERT_GE(P0().sealed_segment_count(), 4u);
   // A narrow window deep in the log: every row in [100ms, 110ms).
@@ -363,7 +350,7 @@ TEST_F(SegmentedLogTest, QueryTimePrunesSegmentsAndBlocks) {
 }
 
 TEST_F(SegmentedLogTest, OffsetForTimestampAndSeekAcrossSegments) {
-  SegmentTargetGuard guard(128);
+  CreateSeg(128);
   ProduceN(300);
   ASSERT_GE(P0().sealed_segment_count(), 2u);
   auto off = broker_.OffsetForTimestamp("seg", 0, TimePoint::FromMillis(217));
@@ -417,10 +404,11 @@ void ExpectSameRows(const std::vector<StoredRecord>& got,
 
 void CheckQueriesAgainstModel(std::size_t seal_target, bool truncate_in_active,
                               std::uint64_t seed) {
-  SegmentTargetGuard guard(seal_target);
   SimClock clock;
   Broker broker(clock);
-  ASSERT_TRUE(broker.CreateTopic("ref", TopicConfig{.partitions = 1}).ok());
+  ASSERT_TRUE(
+      broker.CreateTopic("ref", TopicConfig{.partitions = 1, .segment_bytes = seal_target})
+          .ok());
   auto topic = broker.GetTopic("ref");
   ASSERT_TRUE(topic.ok());
   const Partition& part = (*topic)->partition(0);
@@ -524,48 +512,28 @@ TEST(QueryReferenceModel, SegmentedLayoutMatchesBruteForce) {
 
 // --- differential determinism: segmentation is a pure layout change ---------
 
-exec::ExecConfig Cfg(std::size_t workers) {
-  exec::ExecConfig cfg;
-  cfg.workers = workers;
-  return cfg;
-}
-
-// Runs `fn` with segmentation off, then with a small seal target (so real
-// runs cross many seams); returns {off, on}.
-template <typename Fn>
-std::pair<std::uint64_t, std::uint64_t> SegOffOn(Fn&& fn, std::size_t target = 1024) {
-  SetSegmentBytesTarget(0);
-  const std::uint64_t off = fn();
-  SetSegmentBytesTarget(target);
-  const std::uint64_t on = fn();
-  SetSegmentBytesTarget(0);
-  return {off, on};
-}
-
-void ExpectScenarioParity() {
+// Each scenario digest with segmentation off, then with a small seal
+// target (so real runs cross many seams), must agree.
+void ExpectScenarioParity(std::uint32_t replicas) {
   for (const std::size_t workers : {1u, 4u}) {
     for (const std::uint64_t seed : {3ull, 11ull}) {
-      const auto [t_off, t_on] =
-          SegOffOn([&] { return scenarios::TourismDigest(seed, Cfg(workers)); });
-      EXPECT_EQ(t_off, t_on) << "tourism workers=" << workers << " seed=" << seed;
-      const auto [o_off, o_on] =
-          SegOffOn([&] { return scenarios::OverloadDigest(seed, Cfg(workers)); });
-      EXPECT_EQ(o_off, o_on) << "overload workers=" << workers << " seed=" << seed;
+      RuntimeConfig off = RuntimeConfig::Process();
+      off.exec_workers = workers;
+      off.replicas = replicas;
+      off.segment_bytes = 0;
+      RuntimeConfig on = off;
+      on.segment_bytes = 1024;
+      EXPECT_EQ(scenarios::TourismDigest(seed, off), scenarios::TourismDigest(seed, on))
+          << "tourism workers=" << workers << " seed=" << seed;
+      EXPECT_EQ(scenarios::OverloadDigest(seed, off), scenarios::OverloadDigest(seed, on))
+          << "overload workers=" << workers << " seed=" << seed;
     }
   }
 }
 
-TEST(StorageDeterminism, ScenarioDigestsFactorOne) {
-  setenv("ARBD_REPLICAS", "1", 1);
-  ExpectScenarioParity();
-  unsetenv("ARBD_REPLICAS");
-}
+TEST(StorageDeterminism, ScenarioDigestsFactorOne) { ExpectScenarioParity(1); }
 
-TEST(StorageDeterminism, ScenarioDigestsFactorThree) {
-  setenv("ARBD_REPLICAS", "3", 1);
-  ExpectScenarioParity();
-  unsetenv("ARBD_REPLICAS");
-}
+TEST(StorageDeterminism, ScenarioDigestsFactorThree) { ExpectScenarioParity(3); }
 
 TEST(StorageDeterminism, FailoverSoakCommittedDigestAcrossModes) {
   for (const std::uint32_t factor : {1u, 3u}) {
@@ -578,11 +546,10 @@ TEST(StorageDeterminism, FailoverSoakCommittedDigestAcrossModes) {
       cfg.fault_spec = "nodecrash@p=0.01,x=10;torn@p=0.01";
       cfg.kill_p = 0.04;
     }
-    SetSegmentBytesTarget(0);
+    cfg.segment_bytes = 0;
     auto off = scenarios::RunFailoverSoak(cfg);
-    SetSegmentBytesTarget(512);
+    cfg.segment_bytes = 512;
     auto on = scenarios::RunFailoverSoak(cfg);
-    SetSegmentBytesTarget(0);
     ASSERT_TRUE(off.ok()) << off.status().ToString();
     ASSERT_TRUE(on.ok()) << on.status().ToString();
     ASSERT_FALSE(off->wedged);
@@ -608,11 +575,10 @@ TEST(StorageDeterminism, ClusterSoakCommittedDigestAcrossModes) {
   cfg.fleet.ticks = 12;
   cfg.fleet.peak_events_per_tick = 80;
   cfg.fleet.seed = 13;
-  SetSegmentBytesTarget(0);
+  cfg.segment_bytes = 0;
   auto off = scenarios::RunClusterSoak(cfg);
-  SetSegmentBytesTarget(512);
+  cfg.segment_bytes = 512;
   auto on = scenarios::RunClusterSoak(cfg);
-  SetSegmentBytesTarget(0);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   ASSERT_TRUE(on.ok()) << on.status().ToString();
   ASSERT_FALSE(off->wedged);

@@ -18,25 +18,16 @@
 #include "stream/log.h"
 #include "stream/query.h"
 #include "stream/replication.h"
-#include "stream/segment.h"
 
 namespace arbd::stream {
 namespace {
 
 constexpr char kTopic[] = "churn";
 
-// One broker plus its own clock; ops run with this side's seal target
-// installed, so the pair differs only in storage layout.
+// One broker plus its own clock; the side's topic is created with its
+// seal target, so the pair differs only in storage layout.
 struct Side {
   explicit Side(std::size_t seal_target) : target(seal_target), broker(clock) {}
-
-  template <typename Fn>
-  auto Run(Fn&& fn) {
-    SetSegmentBytesTarget(target);
-    auto out = fn(*this);
-    SetSegmentBytesTarget(0);
-    return out;
-  }
 
   std::size_t target;
   SimClock clock;
@@ -63,6 +54,7 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
   if (rng.Bernoulli(0.5)) tc.retention_records = 40 + rng.NextBelow(160);
   if (rng.Bernoulli(0.4)) tc.retention_time = Duration::Millis(200 + rng.NextBelow(800));
   for (Side* s : {&flat, &seg}) {
+    tc.segment_bytes = s->target;
     ASSERT_TRUE(s->broker.CreateTopic(kTopic, tc).ok());
   }
   // Retired draw (it sized a query block cache that no longer exists),
@@ -110,15 +102,11 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
       }
       produced += static_cast<int>(n);
       for (Side* s : {&flat, &seg}) {
-        s->Run([&](Side& side) {
-          for (const auto& pr : plan) {
-            auto r = side.broker.Produce(
-                kTopic, Record::MakeText(pr.key, pr.payload,
-                                         TimePoint::FromMillis(pr.event_ms)));
-            EXPECT_TRUE(r.ok());
-          }
-          return 0;
-        });
+        for (const auto& pr : plan) {
+          auto r = s->broker.Produce(
+              kTopic, Record::MakeText(pr.key, pr.payload, TimePoint::FromMillis(pr.event_ms)));
+          EXPECT_TRUE(r.ok());
+        }
       }
     } else if (kind < 65) {
       // Truncate: pick the cut from the (converged) flat side's window.
@@ -129,8 +117,8 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
       const Offset hi = (*ft)->partition(p).end_offset();
       const Offset cut = lo + static_cast<Offset>(
                                   rng.NextBelow(static_cast<std::uint64_t>(hi - lo) + 1));
-      auto df = flat.Run([&](Side& s) { return s.broker.TruncateBefore(kTopic, p, cut); });
-      auto ds = seg.Run([&](Side& s) { return s.broker.TruncateBefore(kTopic, p, cut); });
+      auto df = flat.broker.TruncateBefore(kTopic, p, cut);
+      auto ds = seg.broker.TruncateBefore(kTopic, p, cut);
       ASSERT_EQ(df.ok(), ds.ok()) << "op=" << op;
       if (df.ok()) {
         ASSERT_EQ(*df, *ds) << "op=" << op;
@@ -142,14 +130,10 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
     } else if (kind < 85) {
       // Advance both clocks identically, then a retention sweep.
       const auto step = Duration::Millis(static_cast<std::int64_t>(rng.NextBelow(300)));
-      const auto rf = flat.Run([&](Side& s) {
-        s.clock.Advance(step);
-        return s.broker.RunRetention();
-      });
-      const auto rs = seg.Run([&](Side& s) {
-        s.clock.Advance(step);
-        return s.broker.RunRetention();
-      });
+      flat.clock.Advance(step);
+      seg.clock.Advance(step);
+      const auto rf = flat.broker.RunRetention();
+      const auto rs = seg.broker.RunRetention();
       ASSERT_EQ(rf, rs) << "op=" << op << " (retention drop count)";
     } else if (kind < 93) {
       // Random-window fetch, including deliberately out-of-range reads:
@@ -158,8 +142,8 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
       const Offset from = static_cast<Offset>(rng.NextBelow(
           static_cast<std::uint64_t>(produced) + 10));
       const std::size_t max = 1 + rng.NextBelow(64);
-      auto rf = flat.Run([&](Side& s) { return s.broker.Fetch(kTopic, p, from, max); });
-      auto rs = seg.Run([&](Side& s) { return s.broker.Fetch(kTopic, p, from, max); });
+      auto rf = flat.broker.Fetch(kTopic, p, from, max);
+      auto rs = seg.broker.Fetch(kTopic, p, from, max);
       ASSERT_EQ(rf.ok(), rs.ok()) << "op=" << op << " from=" << from;
       if (rf.ok()) {
         ASSERT_EQ(rf->size(), rs->size()) << "op=" << op;
@@ -186,14 +170,10 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
       const std::int64_t t0 = static_cast<std::int64_t>(
           rng.NextBelow(static_cast<std::uint64_t>(next_event_ms) + 1));
       const std::int64_t t1 = t0 + static_cast<std::int64_t>(rng.NextBelow(400));
-      auto qf = flat.Run([&](Side& s) {
-        return s.broker.QueryTime(kTopic, p, TimePoint::FromMillis(t0),
-                                  TimePoint::FromMillis(t1));
-      });
-      auto qs = seg.Run([&](Side& s) {
-        return s.broker.QueryTime(kTopic, p, TimePoint::FromMillis(t0),
-                                  TimePoint::FromMillis(t1));
-      });
+      auto qf = flat.broker.QueryTime(kTopic, p, TimePoint::FromMillis(t0),
+                                      TimePoint::FromMillis(t1));
+      auto qs = seg.broker.QueryTime(kTopic, p, TimePoint::FromMillis(t0),
+                                     TimePoint::FromMillis(t1));
       ASSERT_EQ(qf.ok(), qs.ok()) << "op=" << op;
       if (qf.ok()) {
         ASSERT_EQ(qf->rows.size(), qs->rows.size()) << "op=" << op;
@@ -211,15 +191,12 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
   // The segmented side must have actually churned segments at some point,
   // or the soak proved nothing about seams.
   EXPECT_GT(max_sealed, 0u) << "seed=" << seed << " target=" << seg.target;
-  const auto full_scan = seg.Run([&](Side& s) {
-    std::size_t rows = 0;
-    for (PartitionId p = 0; p < tc.partitions; ++p) {
-      auto r = s.broker.QueryRange(kTopic, p, 0, 1'000'000);
-      EXPECT_TRUE(r.ok());
-      if (r.ok()) rows += r->rows.size();
-    }
-    return rows;
-  });
+  std::size_t full_scan = 0;
+  for (PartitionId p = 0; p < tc.partitions; ++p) {
+    auto r = seg.broker.QueryRange(kTopic, p, 0, 1'000'000);
+    EXPECT_TRUE(r.ok());
+    if (r.ok()) full_scan += r->rows.size();
+  }
   std::size_t flat_rows = 0;
   auto ft = flat.broker.GetTopic(kTopic);
   ASSERT_TRUE(ft.ok());
@@ -230,15 +207,11 @@ TEST_P(SegmentChurn, FlatAndSegmentedStayBitIdentical) {
   EXPECT_GT(produced, 0);
 
   // Committed-log digests: the pair's final logs are bit-identical.
-  const auto df = flat.Run([&](Side& s) {
-    auto t = s.broker.GetTopic(kTopic);
+  const auto digest = [](Side& side) {
+    auto t = side.broker.GetTopic(kTopic);
     return t.ok() ? CommittedTopicDigest(**t) : 0ull;
-  });
-  const auto ds = seg.Run([&](Side& s) {
-    auto t = s.broker.GetTopic(kTopic);
-    return t.ok() ? CommittedTopicDigest(**t) : 0ull;
-  });
-  EXPECT_EQ(df, ds) << "committed digest diverged, seed=" << seed;
+  };
+  EXPECT_EQ(digest(flat), digest(seg)) << "committed digest diverged, seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(HundredSeeds, SegmentChurn,

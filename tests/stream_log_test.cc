@@ -159,7 +159,7 @@ TEST(RecordBatchTest, MaterializedRecordsMatchColumns) {
 }
 
 TEST(PartitionTest, OffsetsAreDense) {
-  Partition p;
+  Partition p(DefaultSegmentBytes());
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(p.Append(TextRecord("k", "v"), TimePoint{}), i);
   }
@@ -168,7 +168,7 @@ TEST(PartitionTest, OffsetsAreDense) {
 }
 
 TEST(PartitionTest, FetchRange) {
-  Partition p;
+  Partition p(DefaultSegmentBytes());
   for (int i = 0; i < 10; ++i) p.Append(TextRecord("k", std::to_string(i)), TimePoint{});
   auto got = p.Fetch(3, 4);
   ASSERT_TRUE(got.ok());
@@ -179,7 +179,7 @@ TEST(PartitionTest, FetchRange) {
 }
 
 TEST(PartitionTest, FetchAtEndIsEmpty) {
-  Partition p;
+  Partition p(DefaultSegmentBytes());
   p.Append(TextRecord("k", "v"), TimePoint{});
   auto got = p.Fetch(1, 10);
   ASSERT_TRUE(got.ok());
@@ -187,7 +187,7 @@ TEST(PartitionTest, FetchAtEndIsEmpty) {
 }
 
 TEST(PartitionTest, FetchBeyondEndFails) {
-  Partition p;
+  Partition p(DefaultSegmentBytes());
   auto got = p.Fetch(5, 1);
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kOutOfRange);
@@ -197,7 +197,7 @@ TEST(PartitionTest, OutOfRangeFetchCarriesRetainedWindow) {
   // The out-of-range error must carry the valid [log_start, end) window as
   // a structured payload — consumers reposition from it without parsing
   // the message text.
-  Partition p;
+  Partition p(DefaultSegmentBytes());
   for (int i = 0; i < 10; ++i) p.Append(TextRecord("k", std::to_string(i)), TimePoint{});
   p.TruncateBefore(4);
 
@@ -217,7 +217,7 @@ TEST(PartitionTest, OutOfRangeFetchCarriesRetainedWindow) {
 TEST(PartitionTest, FetchAtLogStartAfterTruncate) {
   // The boundary itself: a fetch at exactly log_start_offset is the first
   // valid position after truncation, one below it is the first invalid.
-  Partition p;
+  Partition p(DefaultSegmentBytes());
   for (int i = 0; i < 10; ++i) p.Append(TextRecord("k", std::to_string(i)), TimePoint{});
   EXPECT_EQ(p.TruncateBefore(4), 4u);
   ASSERT_EQ(p.log_start_offset(), 4);
@@ -237,7 +237,7 @@ TEST(PartitionTest, FetchAtLogStartAfterTruncate) {
 TEST(PartitionTest, FetchAtLogStartOfFullyTruncatedPartition) {
   // Truncating everything leaves start == end; a fetch there is an empty
   // success (a consumer waiting for new data), not an error.
-  Partition p;
+  Partition p(DefaultSegmentBytes());
   for (int i = 0; i < 3; ++i) p.Append(TextRecord("k", "v"), TimePoint{});
   EXPECT_EQ(p.TruncateBefore(99), 3u);  // clamped to end
   EXPECT_EQ(p.log_start_offset(), 3);
@@ -254,7 +254,7 @@ TEST(PartitionTest, FetchAtLogStartOfFullyTruncatedPartition) {
 }
 
 TEST(PartitionTest, RetentionByCount) {
-  Partition p;
+  Partition p(DefaultSegmentBytes());
   for (int i = 0; i < 10; ++i) p.Append(TextRecord("k", std::to_string(i)), TimePoint{});
   TopicConfig cfg;
   cfg.retention_records = 4;
@@ -267,7 +267,7 @@ TEST(PartitionTest, RetentionByCount) {
 }
 
 TEST(PartitionTest, RetentionByTime) {
-  Partition p;
+  Partition p(DefaultSegmentBytes());
   for (int i = 0; i < 5; ++i) {
     p.Append(TextRecord("k", "v"), TimePoint::FromMillis(i * 1000));
   }

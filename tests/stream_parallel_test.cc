@@ -17,7 +17,6 @@
 #include "stream/consumer.h"
 #include "stream/log.h"
 #include "stream/parallel.h"
-#include "stream/segment.h"
 
 namespace arbd::stream {
 namespace {
@@ -59,17 +58,16 @@ std::uint64_t FetchDigest(const std::vector<std::vector<StoredRecord>>& fetched)
 TEST(StreamParallel, ProduceAndFetchIdenticalAcrossWorkersAndModes) {
   // Modes: the flat single-batch store, and a segmented log whose small
   // seal target puts seams inside every partition's fetch range.
-  const std::size_t saved_target = SegmentBytesTarget();
   std::uint64_t reference = 0;
   bool first = true;
   for (const std::size_t segment_bytes : {0u, 256u}) {
     for (const std::size_t workers : {1u, 4u}) {
-      SetSegmentBytesTarget(segment_bytes);
       SimClock clock;
       Broker broker(clock);
       exec::Executor ex(Cfg(workers));
       TopicConfig tc;
       tc.partitions = 4;
+      tc.segment_bytes = segment_bytes;
       ASSERT_TRUE(broker.CreateTopic("par.t", tc).ok());
       const auto rep = ParallelProduce(ex, broker, "par.t",
                                        SeededRecords(3, 120, clock), Duration::Micros(2));
@@ -86,7 +84,6 @@ TEST(StreamParallel, ProduceAndFetchIdenticalAcrossWorkersAndModes) {
       }
     }
   }
-  SetSegmentBytesTarget(saved_target);
 }
 
 TEST(StreamParallel, ProduceBudgetAccountingMatchesAcrossModes) {
