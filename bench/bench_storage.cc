@@ -6,9 +6,10 @@
 //         with 4 concurrent historical scan threads hammering QueryRange/
 //         QueryTime over the sealed tier. Queries snapshot shared_ptrs
 //         under the partition lock and then scan immutable segments
-//         lock-free, so the tail should barely notice. Gates (generous,
-//         CI-noise-safe): segmented >= 0.6x flat, and with-scans >= 0.5x
-//         without-scans.
+//         lock-free, so the tail should barely notice. Each trial prints
+//         the producer thread's CPU time and context switches beside its
+//         wall time. Gates (generous, CI-noise-safe): segmented >= 0.6x
+//         flat, and with-scans >= 0.5x without-scans.
 //
 //   E25b: sublinear query work — a fixed log queried at S ∈ {8, 32, 128}
 //         segments. The gates are on *deterministic* work counters, not
@@ -27,6 +28,9 @@
 // `--quick` runs reduced sizes/seeds with the same checks and no
 // google-benchmark timings — the CI storage smoke. Exit code = failures.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
+
+#include <ctime>
 
 #include <algorithm>
 #include <atomic>
@@ -88,10 +92,28 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// Produce `tail` records after `prefill`, returning wall records/sec of
-// the tail phase; optionally with 4 historical-scan threads running.
-double TailThroughput(std::size_t prefill, std::size_t tail, std::size_t segment_bytes,
-                      bool scans) {
+// One timed tail burst: wall records/sec, plus the producer thread's own
+// wall and CPU time and context switches over the burst. CPU well below
+// wall with involuntary switches means the producer sat descheduled;
+// with voluntary ones, it slept on a lock.
+struct TailRun {
+  double recs_per_s = 0.0;
+  double wall_ms = 0.0;
+  double cpu_ms = 0.0;
+  long voluntary_switches = 0;
+  long involuntary_switches = 0;
+};
+
+double ThreadCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+// Produce `tail` records after `prefill`, optionally with 4 historical-scan
+// threads running during the tail.
+TailRun TailThroughput(std::size_t prefill, std::size_t tail, std::size_t segment_bytes,
+                       bool scans) {
   Harness h(segment_bytes);
   h.Produce(prefill);
   std::atomic<bool> stop{false};
@@ -110,12 +132,22 @@ double TailThroughput(std::size_t prefill, std::size_t tail, std::size_t segment
       });
     }
   }
+  rusage ru0{}, ru1{};
+  getrusage(RUSAGE_THREAD, &ru0);
+  const double cpu0 = ThreadCpuMs();
   const auto t0 = std::chrono::steady_clock::now();
   h.Produce(tail);
   const double secs = SecondsSince(t0);
+  TailRun run;
+  run.cpu_ms = ThreadCpuMs() - cpu0;
+  getrusage(RUSAGE_THREAD, &ru1);
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : scanners) t.join();
-  return secs > 0.0 ? static_cast<double>(tail) / secs : 0.0;
+  run.wall_ms = secs * 1e3;
+  run.recs_per_s = secs > 0.0 ? static_cast<double>(tail) / secs : 0.0;
+  run.voluntary_switches = ru1.ru_nvcsw - ru0.ru_nvcsw;
+  run.involuntary_switches = ru1.ru_nivcsw - ru0.ru_nivcsw;
+  return run;
 }
 
 int RunExperiment(bool quick) {
@@ -128,14 +160,27 @@ int RunExperiment(bool quick) {
   // runner must hit every trial to flake the gate, while a real
   // lock-contention collapse (scans blocking the tail) degrades all
   // three alike.
-  const auto best3 = [](auto f) {
-    double a = f(), b = f(), c = f();
-    return std::max(a, std::max(b, c));
+  bench::Table trials({"config", "trial", "tail recs/s", "producer wall ms",
+                       "producer cpu ms", "cpu/wall", "vol csw", "invol csw"});
+  const auto best3 = [&](const std::string& config, auto f) {
+    double best = 0.0;
+    for (int trial = 1; trial <= 3; ++trial) {
+      const TailRun r = f();
+      trials.Row({config, std::to_string(trial), bench::Fmt("%.0f", r.recs_per_s),
+                  bench::Fmt("%.1f", r.wall_ms), bench::Fmt("%.1f", r.cpu_ms),
+                  bench::Fmt("%.2f", r.wall_ms > 0.0 ? r.cpu_ms / r.wall_ms : 0.0),
+                  std::to_string(r.voluntary_switches),
+                  std::to_string(r.involuntary_switches)});
+      best = std::max(best, r.recs_per_s);
+    }
+    return best;
   };
-  const double flat = best3([&] { return TailThroughput(prefill, tail, 0, false); });
-  const double seg = best3([&] { return TailThroughput(prefill, tail, 16'384, false); });
-  const double seg_scan =
-      best3([&] { return TailThroughput(prefill, tail, 16'384, true); });
+  const double flat = best3("flat", [&] { return TailThroughput(prefill, tail, 0, false); });
+  const double seg =
+      best3("segmented", [&] { return TailThroughput(prefill, tail, 16'384, false); });
+  const double seg_scan = best3("segmented+4 scans",
+                                [&] { return TailThroughput(prefill, tail, 16'384, true); });
+  trials.Print("E25a tail produce trials (producer thread, wall clock vs CPU)");
   bench::Table ta({"config", "tail recs/s", "vs flat", "vs seg"});
   ta.Row({"flat", bench::Fmt("%.0f", flat), "1.00x", "-"});
   ta.Row({"segmented", bench::Fmt("%.0f", seg), bench::Fmt("%.2fx", seg / flat), "1.00x"});

@@ -1,5 +1,8 @@
 #include "ar/content.h"
 
+#include <algorithm>
+#include <functional>
+
 namespace arbd::ar::content {
 
 const char* SemanticTypeName(SemanticType t) {
@@ -107,30 +110,53 @@ Expected<Annotation> Annotation::Decode(const Bytes& buf) {
 std::uint64_t AnnotationStore::Add(Annotation a) {
   a.id = next_id_++;
   const std::uint64_t id = a.id;
-  items_[id] = std::move(a);
+  const TimePoint deadline = a.created + a.ttl;
+  // Ids only grow, so the new annotation goes at the back of live_.
+  live_.push_back(&items_.emplace(id, std::move(a)).first->second);
+  deadlines_.emplace_back(deadline, id);
+  std::push_heap(deadlines_.begin(), deadlines_.end(), std::greater<>{});
   return id;
 }
 
-bool AnnotationStore::Remove(std::uint64_t id) { return items_.erase(id) > 0; }
-
-std::size_t AnnotationStore::ExpireOlderThan(TimePoint now) {
-  std::size_t n = 0;
-  for (auto it = items_.begin(); it != items_.end();) {
-    if (it->second.ExpiredAt(now)) {
-      it = items_.erase(it);
-      ++n;
-    } else {
-      ++it;
-    }
-  }
-  return n;
+bool AnnotationStore::Remove(std::uint64_t id) {
+  auto it = items_.find(id);
+  if (it == items_.end()) return false;
+  const auto entry = std::find(deadlines_.begin(), deadlines_.end(),
+                               std::pair{it->second.created + it->second.ttl, id});
+  *entry = deadlines_.back();
+  deadlines_.pop_back();
+  std::make_heap(deadlines_.begin(), deadlines_.end(), std::greater<>{});
+  EraseFromLive({id});
+  items_.erase(it);
+  return true;
 }
 
-std::vector<const Annotation*> AnnotationStore::Live() const {
-  std::vector<const Annotation*> out;
-  out.reserve(items_.size());
-  for (const auto& [_, a] : items_) out.push_back(&a);
-  return out;
+std::size_t AnnotationStore::ExpireOlderThan(TimePoint now) {
+  // ExpiredAt(now) is now > created + ttl: exactly the deadlines < now.
+  std::vector<std::uint64_t> ids;
+  while (!deadlines_.empty() && deadlines_.front().first < now) {
+    ids.push_back(deadlines_.front().second);
+    std::pop_heap(deadlines_.begin(), deadlines_.end(), std::greater<>{});
+    deadlines_.pop_back();
+  }
+  if (ids.empty()) return 0;
+  std::sort(ids.begin(), ids.end());
+  EraseFromLive(ids);
+  for (const std::uint64_t id : ids) items_.erase(id);
+  return ids.size();
+}
+
+void AnnotationStore::EraseFromLive(const std::vector<std::uint64_t>& ids) {
+  // live_ ascends by id, and so do ids: null each erased entry, searching
+  // on from the last one, then close the gaps in one pass.
+  const auto by_id = [](const Annotation* a, std::uint64_t id) { return a->id < id; };
+  const auto first = std::lower_bound(live_.begin(), live_.end(), ids.front(), by_id);
+  auto at = first;
+  for (const std::uint64_t id : ids) {
+    at = std::lower_bound(at, live_.end(), id, by_id);
+    *at++ = nullptr;
+  }
+  live_.erase(std::remove(first, live_.end(), nullptr), live_.end());
 }
 
 const Annotation* AnnotationStore::Get(std::uint64_t id) const {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -60,19 +61,38 @@ struct Annotation {
 };
 
 // An in-memory set of live annotations with TTL expiry — what the frame
-// composer draws from every frame.
+// composer draws from every frame. Beside the id-keyed map it keeps the
+// live list Live() returns and an index on expiry deadlines, so the
+// per-frame expiry and Live() cost nothing for annotations that neither
+// arrive nor expire.
 class AnnotationStore {
  public:
+  AnnotationStore() = default;
+  // live_ points into items_' nodes: a copy would point into the source.
+  AnnotationStore(const AnnotationStore&) = delete;
+  AnnotationStore& operator=(const AnnotationStore&) = delete;
+  AnnotationStore(AnnotationStore&&) = default;
+  AnnotationStore& operator=(AnnotationStore&&) = default;
+
   std::uint64_t Add(Annotation a);  // assigns id, returns it
   bool Remove(std::uint64_t id);
+  // Drops every annotation with ExpiredAt(now); returns how many.
   std::size_t ExpireOlderThan(TimePoint now);
 
-  std::vector<const Annotation*> Live() const;
+  // Live annotations in ascending id order. Valid until the next Add,
+  // Remove or ExpireOlderThan.
+  const std::vector<const Annotation*>& Live() const { return live_; }
   const Annotation* Get(std::uint64_t id) const;
   std::size_t size() const { return items_.size(); }
 
  private:
+  // Erases from live_ the entries with these ids (ascending, all live).
+  void EraseFromLive(const std::vector<std::uint64_t>& ids);
+
   std::map<std::uint64_t, Annotation> items_;
+  std::vector<const Annotation*> live_;  // &items_[id], ascending id
+  // (created + ttl, id) for every live annotation, a min-heap on deadline.
+  std::vector<std::pair<TimePoint, std::uint64_t>> deadlines_;
   std::uint64_t next_id_ = 1;
 };
 

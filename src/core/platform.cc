@@ -296,7 +296,7 @@ Expected<FrameResult> Platform::ComposeFrame(const std::string& user_id) {
   FrameResult frame;
   frame.degradation_level = profile.level;
   frame.expired = annotations_.ExpireOlderThan(clock_.Now());
-  const auto live = annotations_.Live();
+  const auto& live = annotations_.Live();
   frame.live_annotations = live.size();
 
   const ar::CameraView view = (*user)->View();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 namespace arbd::geo {
 namespace {
@@ -29,6 +31,11 @@ double RayAabb2D(double ox, double oy, double dx, double dy, double min_x, doubl
   }
   return t0;
 }
+
+// Footprints are registered in every cell their AABB grown by this pad
+// overlaps, so rounding in the grid walk at cell edges and corners (far
+// below a millimetre at city scale) cannot skip a building.
+constexpr double kGridPad = 1e-3;
 
 }  // namespace
 
@@ -99,30 +106,55 @@ CityModel CityModel::Generate(const CityConfig& cfg, std::uint64_t seed) {
       }
     }
   }
+  city.BuildGrid();
   return city;
 }
 
-RayHit CityModel::CastRay(double east, double north, double height, double d_east,
-                          double d_north, double d_up, double max_dist_m) const {
-  const double norm = std::sqrt(d_east * d_east + d_north * d_north + d_up * d_up);
-  RayHit best;
-  if (norm < 1e-12) return best;
-  const double de = d_east / norm, dn = d_north / norm, du = d_up / norm;
-  best.distance_m = max_dist_m;
+void CityModel::BuildGrid() {
+  if (buildings_.empty()) return;
+  // Half the block pitch, anchored on the block corners, so each building
+  // of a block's 2x2 sub-grid falls in one cell.
+  const double pitch = cfg_.block_size_m + cfg_.street_width_m;
+  grid_cell_m_ = pitch / 2.0;
+  ARBD_CHECK(grid_cell_m_ > 0.0, "city block pitch must be positive");
+  double min_e = buildings_.front().center_east, max_e = min_e;
+  double min_n = buildings_.front().center_north, max_n = min_n;
   for (const auto& b : buildings_) {
-    const double t = RayAabb2D(east, north, de, dn, b.center_east - b.half_width,
-                               b.center_north - b.half_depth, b.center_east + b.half_width,
-                               b.center_north + b.half_depth);
-    if (t < 0 || t >= best.distance_m) continue;
-    const double hit_height = height + du * t;
-    if (hit_height >= 0.0 && hit_height <= b.height_m) {
-      best.hit = true;
-      best.building_id = b.id;
-      best.distance_m = t;
-    }
+    min_e = std::min(min_e, b.center_east - b.half_width - kGridPad);
+    max_e = std::max(max_e, b.center_east + b.half_width + kGridPad);
+    min_n = std::min(min_n, b.center_north - b.half_depth - kGridPad);
+    max_n = std::max(max_n, b.center_north + b.half_depth + kGridPad);
   }
-  if (!best.hit) best.distance_m = 0.0;
-  return best;
+  const double anchor_e = -cfg_.blocks_x / 2.0 * pitch;
+  const double anchor_n = -cfg_.blocks_y / 2.0 * pitch;
+  grid_min_e_ = anchor_e + std::floor((min_e - anchor_e) / grid_cell_m_) * grid_cell_m_;
+  grid_min_n_ = anchor_n + std::floor((min_n - anchor_n) / grid_cell_m_) * grid_cell_m_;
+  grid_nx_ = std::max(1, static_cast<int>(std::ceil((max_e - grid_min_e_) / grid_cell_m_)));
+  grid_ny_ = std::max(1, static_cast<int>(std::ceil((max_n - grid_min_n_) / grid_cell_m_)));
+
+  // Grid column (or row) of coordinate x, clamped to the grid.
+  const auto cell_of = [&](double x, double origin, int n) {
+    return std::clamp(static_cast<int>(std::floor((x - origin) / grid_cell_m_)), 0, n - 1);
+  };
+  // Calls fn(cell) for every cell the padded footprint of b overlaps.
+  const auto for_each_cell = [&](const Building& b, auto&& fn) {
+    const int x0 = cell_of(b.center_east - b.half_width - kGridPad, grid_min_e_, grid_nx_);
+    const int x1 = cell_of(b.center_east + b.half_width + kGridPad, grid_min_e_, grid_nx_);
+    const int y0 = cell_of(b.center_north - b.half_depth - kGridPad, grid_min_n_, grid_ny_);
+    const int y1 = cell_of(b.center_north + b.half_depth + kGridPad, grid_min_n_, grid_ny_);
+    for (int y = y0; y <= y1; ++y) {
+      for (int x = x0; x <= x1; ++x) fn(static_cast<std::size_t>(y) * grid_nx_ + x);
+    }
+  };
+
+  grid_offsets_.assign(static_cast<std::size_t>(grid_nx_) * grid_ny_ + 1, 0);
+  for (const auto& b : buildings_) for_each_cell(b, [&](std::size_t c) { ++grid_offsets_[c + 1]; });
+  for (std::size_t c = 1; c < grid_offsets_.size(); ++c) grid_offsets_[c] += grid_offsets_[c - 1];
+  grid_items_.resize(grid_offsets_.back());
+  std::vector<std::uint32_t> fill(grid_offsets_.begin(), grid_offsets_.end() - 1);
+  for (std::uint32_t i = 0; i < buildings_.size(); ++i) {
+    for_each_cell(buildings_[i], [&](std::size_t c) { grid_items_[fill[c]++] = i; });
+  }
 }
 
 bool CityModel::IsOccluded(double eye_e, double eye_n, double eye_h, double tgt_e,
@@ -132,19 +164,70 @@ bool CityModel::IsOccluded(double eye_e, double eye_n, double eye_h, double tgt_
   const double du = tgt_h - eye_h;
   const double dist = std::sqrt(de * de + dn * dn + du * du);
   if (dist < 1e-9) return false;
-  // March candidate hits; ignore hits essentially at the target itself
-  // (the target's own facade) and the target's own building.
+  // Ignore hits essentially at the target itself (the target's own facade)
+  // and the target's own building. No t passes both cut-offs unless
+  // limit > 1e-6.
   const double limit = dist - 0.75;
-  for (const auto& b : buildings_) {
-    if (b.id == ignore_building) continue;
-    const double t = RayAabb2D(eye_e, eye_n, de / dist, dn / dist,
-                               b.center_east - b.half_width, b.center_north - b.half_depth,
-                               b.center_east + b.half_width, b.center_north + b.half_depth);
-    if (t < 1e-6 || t >= limit) continue;
+  if (!(limit > 1e-6) || grid_nx_ == 0) return false;
+  const double ue = de / dist;
+  const double un = dn / dist;
+  const auto blocks = [&](const Building& b) {
+    if (b.id == ignore_building) return false;
+    const double t = RayAabb2D(eye_e, eye_n, ue, un, b.center_east - b.half_width,
+                               b.center_north - b.half_depth, b.center_east + b.half_width,
+                               b.center_north + b.half_depth);
+    if (t < 1e-6 || t >= limit) return false;
     const double hit_h = eye_h + (du / dist) * t;
-    if (hit_h >= 0.0 && hit_h <= b.height_m) return true;
+    return hit_h >= 0.0 && hit_h <= b.height_m;
+  };
+
+  // Clip [0, limit] to the grid. Every footprint lies inside it, and an
+  // axis is flat exactly where RayAabb2D treats it as flat.
+  const double o[2] = {eye_e, eye_n};
+  const double u[2] = {ue, un};
+  const double lo[2] = {grid_min_e_, grid_min_n_};
+  const int n[2] = {grid_nx_, grid_ny_};
+  double t_in = 0.0, t_out = limit;
+  for (int axis = 0; axis < 2; ++axis) {
+    const double hi = lo[axis] + n[axis] * grid_cell_m_;
+    if (std::abs(u[axis]) < 1e-12) {
+      if (o[axis] < lo[axis] || o[axis] > hi) return false;
+      continue;
+    }
+    double ta = (lo[axis] - o[axis]) / u[axis];
+    double tb = (hi - o[axis]) / u[axis];
+    if (ta > tb) std::swap(ta, tb);
+    t_in = std::max(t_in, ta);
+    t_out = std::min(t_out, tb);
   }
-  return false;
+  if (t_in > t_out) return false;
+
+  // Walk the cells the clipped segment crosses (Amanatides & Woo 1987).
+  // The answer is any-hit, so neither the visit order nor a building met
+  // again in a later cell changes it.
+  int cell[2], step[2];
+  double t_next[2];
+  const auto next_edge = [&](int axis) {
+    const double edge = lo[axis] + (cell[axis] + (step[axis] > 0 ? 1 : 0)) * grid_cell_m_;
+    return (edge - o[axis]) / u[axis];
+  };
+  for (int axis = 0; axis < 2; ++axis) {
+    const double at = (o[axis] + u[axis] * t_in - lo[axis]) / grid_cell_m_;
+    cell[axis] = static_cast<int>(std::clamp(std::floor(at), 0.0, n[axis] - 1.0));
+    step[axis] = std::abs(u[axis]) < 1e-12 ? 0 : (u[axis] > 0 ? 1 : -1);
+    t_next[axis] = step[axis] == 0 ? std::numeric_limits<double>::infinity() : next_edge(axis);
+  }
+  for (;;) {
+    const std::size_t c = static_cast<std::size_t>(cell[1]) * grid_nx_ + cell[0];
+    for (std::uint32_t k = grid_offsets_[c]; k < grid_offsets_[c + 1]; ++k) {
+      if (blocks(buildings_[grid_items_[k]])) return true;
+    }
+    const int axis = t_next[0] < t_next[1] ? 0 : 1;
+    if (step[axis] == 0 || t_next[axis] > t_out) return false;
+    cell[axis] += step[axis];
+    if (cell[axis] < 0 || cell[axis] >= n[axis]) return false;
+    t_next[axis] = next_edge(axis);
+  }
 }
 
 }  // namespace arbd::geo

@@ -44,13 +44,6 @@ struct CityConfig {
   int pois_per_building = 2;
 };
 
-// 3D ray/segment hit result against the building set.
-struct RayHit {
-  bool hit = false;
-  std::uint64_t building_id = 0;
-  double distance_m = 0.0;
-};
-
 class CityModel {
  public:
   // Deterministic for a given (config, seed).
@@ -62,14 +55,10 @@ class CityModel {
   const EnuFrame& frame() const { return frame_; }
   const CityConfig& config() const { return cfg_; }
 
-  // First building a 3D ray from (east, north, height) hits within
-  // max_dist. Direction is (d_east, d_north, d_up), not necessarily
-  // normalized. Used by the AR occlusion tester.
-  RayHit CastRay(double east, double north, double height, double d_east, double d_north,
-                 double d_up, double max_dist_m) const;
-
   // True if the straight line from eye to target is blocked by a building
   // other than the target's own (both points in ENU metres + height).
+  // Tests only the buildings in the grid cells the eye→target segment
+  // crosses. Pure: safe to call from many threads at once.
   bool IsOccluded(double eye_e, double eye_n, double eye_h, double tgt_e, double tgt_n,
                   double tgt_h, std::uint64_t ignore_building = 0) const;
 
@@ -78,11 +67,24 @@ class CityModel {
 
  private:
   CityModel(CityConfig cfg, BBox bounds);
+  void BuildGrid();
 
   CityConfig cfg_;
   EnuFrame frame_;
   std::vector<Building> buildings_;
   std::unique_ptr<PoiStore> pois_;
+
+  // Occlusion broad phase: a uniform grid of square cells over the
+  // footprints, in CSR form. Cell (cx, cy) is number cy * grid_nx_ + cx;
+  // the indices into buildings_ of the footprints that overlap it are
+  // grid_items_[grid_offsets_[cell] .. grid_offsets_[cell + 1]).
+  double grid_min_e_ = 0.0;
+  double grid_min_n_ = 0.0;
+  double grid_cell_m_ = 1.0;
+  int grid_nx_ = 0;
+  int grid_ny_ = 0;
+  std::vector<std::uint32_t> grid_offsets_;
+  std::vector<std::uint32_t> grid_items_;
 };
 
 }  // namespace arbd::geo

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <set>
+#include <string>
 
 #include "ar/content.h"
+#include "common/rng.h"
 
 namespace arbd::ar {
 namespace {
@@ -88,6 +92,99 @@ TEST(AnnotationStore, RemoveAndExpire) {
   EXPECT_EQ(store.ExpireOlderThan(TimePoint::FromSeconds(50.0)), 1u);
   ASSERT_EQ(store.Live().size(), 1u);
   EXPECT_EQ(store.Live()[0]->title, "fresh");
+}
+
+TEST(AnnotationStore, ExpiryEdgeCases) {
+  content::AnnotationStore store;
+  const auto at = [](std::int64_t s) { return TimePoint::FromSeconds(static_cast<double>(s)); };
+  content::Annotation a = MakeAnnotation("a");  // deadline t=15
+  const auto id_a = store.Add(a);
+  const auto id_b = store.Add(a);               // the same deadline
+  content::Annotation zero = MakeAnnotation("zero");
+  zero.created = at(12);
+  zero.ttl = Duration::Nanos(0);
+  const auto id_zero = store.Add(zero);
+  content::Annotation forever = MakeAnnotation("forever");
+  forever.ttl = Duration::Seconds(1'000'000'000);
+  const auto id_forever = store.Add(forever);
+
+  EXPECT_EQ(store.ExpireOlderThan(at(12)), 0u);  // now == created + 0 is not expired
+  EXPECT_EQ(store.ExpireOlderThan(at(12) + Duration::Nanos(1)), 1u);
+  EXPECT_EQ(store.Get(id_zero), nullptr);
+  EXPECT_EQ(store.ExpireOlderThan(at(15)), 0u);  // now == created + ttl is not expired
+  EXPECT_EQ(store.ExpireOlderThan(at(15) + Duration::Nanos(1)), 2u);  // equal deadlines
+  EXPECT_FALSE(store.Remove(id_a));  // already expired
+  EXPECT_FALSE(store.Remove(id_b));
+  EXPECT_EQ(store.ExpireOlderThan(at(1'000'000)), 0u);
+  ASSERT_EQ(store.Live().size(), 1u);
+  EXPECT_EQ(store.Live()[0], store.Get(id_forever));
+  EXPECT_TRUE(store.Remove(id_forever));
+  EXPECT_TRUE(store.Live().empty());
+  EXPECT_EQ(store.size(), 0u);
+}
+
+// Seeded random Add/Remove/ExpireOlderThan sequences against a brute-force
+// model: an id-keyed map that expires by scanning every entry.
+TEST(AnnotationStore, MatchesBruteForceModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    content::AnnotationStore store;
+    std::map<std::uint64_t, content::Annotation> model;
+    std::uint64_t model_next = 1;
+    const auto random_time = [&] { return TimePoint::FromSeconds(rng.UniformInt(0, 60)); };
+    for (int step = 0; step < 4000; ++step) {
+      const auto op = rng.NextBelow(10);
+      if (op < 5) {
+        content::Annotation a = MakeAnnotation("n" + std::to_string(step));
+        a.created = random_time();  // whole seconds, so deadlines often tie
+        switch (rng.NextBelow(4)) {
+          case 0: a.ttl = Duration::Nanos(0); break;
+          case 1: a.ttl = Duration::Seconds(1'000'000'000); break;
+          default: a.ttl = Duration::Seconds(rng.UniformInt(1, 20)); break;
+        }
+        const auto id = store.Add(a);
+        ASSERT_EQ(id, model_next);
+        a.id = model_next++;
+        model.emplace(a.id, a);
+      } else if (op < 7) {
+        // Live, expired, removed and never-assigned ids alike.
+        const std::uint64_t id = 1 + rng.NextBelow(model_next + 2);
+        ASSERT_EQ(store.Remove(id), model.erase(id) > 0);
+      } else {
+        // Often exactly at a live deadline, where nothing may expire.
+        TimePoint now = random_time();
+        if (!model.empty() && rng.Bernoulli(0.5)) {
+          auto it = model.begin();
+          std::advance(it, static_cast<long>(rng.NextBelow(model.size())));
+          now = it->second.created + it->second.ttl;
+          if (rng.Bernoulli(0.5)) now += Duration::Nanos(1);
+        }
+        std::size_t expired = 0;
+        for (auto it = model.begin(); it != model.end();) {
+          if (it->second.ExpiredAt(now)) {
+            it = model.erase(it);
+            ++expired;
+          } else {
+            ++it;
+          }
+        }
+        ASSERT_EQ(store.ExpireOlderThan(now), expired);
+      }
+
+      ASSERT_EQ(store.size(), model.size());
+      const auto& live = store.Live();
+      ASSERT_EQ(live.size(), model.size());
+      std::size_t i = 0;
+      for (const auto& [id, a] : model) {
+        ASSERT_EQ(live[i], store.Get(id)) << "seed " << seed << " step " << step;
+        ASSERT_EQ(live[i]->id, id);
+        ASSERT_EQ(live[i]->title, a.title);
+        ++i;
+      }
+      const std::uint64_t probe = 1 + rng.NextBelow(model_next + 2);
+      ASSERT_EQ(store.Get(probe) != nullptr, model.contains(probe));
+    }
+  }
 }
 
 TEST(SemanticTypeNames, AllDistinct) {

@@ -143,21 +143,23 @@ TEST(CityModel, HeightsWithinConfiguredRange) {
 TEST(CityModel, RayHitsFrontBuilding) {
   const auto city = CityModel::Generate(CityConfig{}, 11);
   const auto& b = city.buildings().front();
-  // Stand west of the building, look east at it.
+  // Stand west of the building; a street-level target just past its east
+  // facade is hidden by it, and by nothing else.
   const double eye_e = b.center_east - b.half_width - 30.0;
-  const auto hit = city.CastRay(eye_e, b.center_north, 1.7, 1.0, 0.0, 0.0, 100.0);
-  ASSERT_TRUE(hit.hit);
-  EXPECT_EQ(hit.building_id, b.id);
-  EXPECT_NEAR(hit.distance_m, 30.0, 0.5);
+  const double tgt_e = b.center_east + b.half_width + 2.0;
+  EXPECT_TRUE(city.IsOccluded(eye_e, b.center_north, 1.7, tgt_e, b.center_north, 1.7));
+  EXPECT_FALSE(city.IsOccluded(eye_e, b.center_north, 1.7, tgt_e, b.center_north, 1.7, b.id));
 }
 
 TEST(CityModel, RayOverTopMisses) {
   const auto city = CityModel::Generate(CityConfig{}, 11);
   const auto& b = city.buildings().front();
   const double eye_e = b.center_east - b.half_width - 30.0;
-  // Aim steeply upward so the ray passes above the roof at the footprint.
-  const auto hit = city.CastRay(eye_e, b.center_north, 1.7, 1.0, 0.0, 5.0, 100.0);
-  EXPECT_FALSE(hit.hit);
+  const double tgt_e = b.center_east + b.half_width + 2.0;
+  // Aim steeply upward (5 m up per metre east): the line passes far above
+  // the roof at the footprint, so the target above the roof line shows.
+  const double tgt_h = 1.7 + 5.0 * (tgt_e - eye_e);
+  EXPECT_FALSE(city.IsOccluded(eye_e, b.center_north, 1.7, tgt_e, b.center_north, tgt_h));
 }
 
 TEST(CityModel, OcclusionBetweenOppositeSides) {
