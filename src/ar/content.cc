@@ -107,12 +107,46 @@ Expected<Annotation> Annotation::Decode(const Bytes& buf) {
   return a;
 }
 
+void AnchorTable::Append(const Anchor& a) {
+  lat.push_back(a.geo_pos.lat);
+  lon.push_back(a.geo_pos.lon);
+  height_m.push_back(a.height_m);
+  building_id.push_back(a.building_id);
+  kind.push_back(a.kind);
+}
+
+void AnchorTable::CopyRow(std::size_t from, std::size_t to) {
+  lat[to] = lat[from];
+  lon[to] = lon[from];
+  height_m[to] = height_m[from];
+  building_id[to] = building_id[from];
+  kind[to] = kind[from];
+}
+
+void AnchorTable::Resize(std::size_t rows) {
+  lat.resize(rows);
+  lon.resize(rows);
+  height_m.resize(rows);
+  building_id.resize(rows);
+  kind.resize(rows);
+}
+
+void AnchorTable::Reserve(std::size_t rows) {
+  lat.reserve(rows);
+  lon.reserve(rows);
+  height_m.reserve(rows);
+  building_id.reserve(rows);
+  kind.reserve(rows);
+}
+
 std::uint64_t AnnotationStore::Add(Annotation a) {
   a.id = next_id_++;
   const std::uint64_t id = a.id;
   const TimePoint deadline = a.created + a.ttl;
-  // Ids only grow, so the new annotation goes at the back of live_.
-  live_.push_back(&items_.emplace(id, std::move(a)).first->second);
+  // Ids only grow, so the new annotation goes at the end of items_ (the
+  // hint spares the tree descent) and at the back of live_.
+  anchors_.Append(a.anchor);
+  live_.push_back(&items_.emplace_hint(items_.end(), id, std::move(a))->second);
   deadlines_.emplace_back(deadline, id);
   std::push_heap(deadlines_.begin(), deadlines_.end(), std::greater<>{});
   return id;
@@ -147,16 +181,31 @@ std::size_t AnnotationStore::ExpireOlderThan(TimePoint now) {
 }
 
 void AnnotationStore::EraseFromLive(const std::vector<std::uint64_t>& ids) {
-  // live_ ascends by id, and so do ids: null each erased entry, searching
-  // on from the last one, then close the gaps in one pass.
+  // live_ ascends by id, and so do ids: find each erased row searching on
+  // from the last one, and close the gaps in live_ and anchors_ in the
+  // same pass.
   const auto by_id = [](const Annotation* a, std::uint64_t id) { return a->id < id; };
-  const auto first = std::lower_bound(live_.begin(), live_.end(), ids.front(), by_id);
-  auto at = first;
+  const auto row_of = [&](std::size_t from, std::uint64_t id) {
+    return static_cast<std::size_t>(
+        std::lower_bound(live_.begin() + static_cast<std::ptrdiff_t>(from), live_.end(), id,
+                         by_id) -
+        live_.begin());
+  };
+  std::size_t out = row_of(0, ids.front());
+  std::size_t in = out;
+  const auto keep_until = [&](std::size_t end) {
+    for (; in < end; ++in, ++out) {
+      live_[out] = live_[in];
+      anchors_.CopyRow(in, out);
+    }
+  };
   for (const std::uint64_t id : ids) {
-    at = std::lower_bound(at, live_.end(), id, by_id);
-    *at++ = nullptr;
+    keep_until(row_of(in, id));
+    ++in;  // the erased row
   }
-  live_.erase(std::remove(first, live_.end(), nullptr), live_.end());
+  keep_until(live_.size());
+  live_.resize(out);
+  anchors_.Resize(out);
 }
 
 const Annotation* AnnotationStore::Get(std::uint64_t id) const {

@@ -34,7 +34,7 @@ const char* SemanticTypeName(SemanticType t);
 // Where an annotation is pinned. World-anchored content has a geo position
 // plus height; screen-anchored content (HUD elements) is fixed in view.
 struct Anchor {
-  enum class Kind { kWorld, kScreen };
+  enum class Kind : std::uint8_t { kWorld, kScreen };
   Kind kind = Kind::kWorld;
   geo::LatLon geo_pos;       // world anchors
   double height_m = 2.0;
@@ -60,11 +60,30 @@ struct Annotation {
   static Expected<Annotation> Decode(const Bytes& buf);
 };
 
+// The anchors of a list of annotations as columns, one row per entry:
+// what frame composition reads of every live annotation each frame. The
+// projection pass streams lat, lon and height_m (contiguous, so the
+// compiler vectorizes it); building_id is read only for the rows in view.
+// Screen anchors keep their screen position in the Annotation. 33 B a row.
+struct AnchorTable {
+  std::vector<double> lat, lon, height_m;
+  std::vector<std::uint64_t> building_id;
+  std::vector<Anchor::Kind> kind;
+
+  std::size_t size() const { return lat.size(); }
+  void Append(const Anchor& a);
+  // Row `to` takes the values of row `from`.
+  void CopyRow(std::size_t from, std::size_t to);
+  void Resize(std::size_t rows);
+  void Reserve(std::size_t rows);
+};
+
 // An in-memory set of live annotations with TTL expiry — what the frame
 // composer draws from every frame. Beside the id-keyed map it keeps the
-// live list Live() returns and an index on expiry deadlines, so the
-// per-frame expiry and Live() cost nothing for annotations that neither
-// arrive nor expire.
+// live list Live() returns, an anchor table row-aligned with it, and an
+// index on expiry deadlines, so the per-frame expiry and Live() cost
+// nothing for annotations that neither arrive nor expire, and the
+// per-frame projection streams contiguous columns.
 class AnnotationStore {
  public:
   AnnotationStore() = default;
@@ -82,15 +101,19 @@ class AnnotationStore {
   // Live annotations in ascending id order. Valid until the next Add,
   // Remove or ExpireOlderThan.
   const std::vector<const Annotation*>& Live() const { return live_; }
+  // Row i holds Live()[i]'s anchor. Valid as long as Live().
+  const AnchorTable& Anchors() const { return anchors_; }
   const Annotation* Get(std::uint64_t id) const;
   std::size_t size() const { return items_.size(); }
 
  private:
-  // Erases from live_ the entries with these ids (ascending, all live).
+  // Erases from live_ and anchors_ the rows with these ids (ascending,
+  // all live).
   void EraseFromLive(const std::vector<std::uint64_t>& ids);
 
   std::map<std::uint64_t, Annotation> items_;
   std::vector<const Annotation*> live_;  // &items_[id], ascending id
+  AnchorTable anchors_;                  // row-aligned with live_
   // (created + ttl, id) for every live annotation, a min-heap on deadline.
   std::vector<std::pair<TimePoint, std::uint64_t>> deadlines_;
   std::uint64_t next_id_ = 1;

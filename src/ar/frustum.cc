@@ -20,31 +20,16 @@ CameraView::CameraView(const PoseEstimate& pose, CameraIntrinsics intrinsics)
   sin_yaw_ = std::sin(yaw);
   tan_half_h_ = std::tan(intr_.fov_h_deg * kDegToRad / 2.0);
   tan_half_v_ = tan_half_h_ / intr_.AspectRatio();
-  focal_px_ = (intr_.width_px / 2.0) / tan_half_h_;
+  half_width_px_ = intr_.width_px / 2.0;
+  half_height_px_ = intr_.height_px / 2.0;
+  focal_px_ = half_width_px_ / tan_half_h_;
 }
 
 std::optional<ScreenPoint> CameraView::Project(double east, double north, double up,
                                                double margin_px) const {
-  // World delta → camera frame. Camera looks along +forward (heading),
-  // +right is 90° clockwise from heading, +up is vertical.
-  const double de = east - pose_.east;
-  const double dn = north - pose_.north;
-  const double du = up - pose_.up;
-  const double forward = de * sin_yaw_ + dn * cos_yaw_;
-  const double right = de * cos_yaw_ - dn * sin_yaw_;
-  if (forward < 0.1) return std::nullopt;  // behind or at the eye
-
-  const double x = intr_.width_px / 2.0 + focal_px_ * (right / forward);
-  const double y = intr_.height_px / 2.0 - focal_px_ * (du / forward);
-  if (x < -margin_px || x > intr_.width_px + margin_px || y < -margin_px ||
-      y > intr_.height_px + margin_px) {
-    return std::nullopt;
-  }
-  ScreenPoint p;
-  p.x = x;
-  p.y = y;
-  p.depth_m = std::sqrt(de * de + dn * dn + du * du);
-  return p;
+  const CameraPoint p = ToCamera(east, north, up, margin_px);
+  if (!p.in_view) return std::nullopt;
+  return ScreenPoint{p.x, p.y, p.Depth()};
 }
 
 bool CameraView::InFrustum(double east, double north, double up) const {

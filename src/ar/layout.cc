@@ -57,23 +57,31 @@ LayoutResult LabelLayout::ArrangeDeclutter(
     const CameraIntrinsics& intrinsics) const {
   LayoutResult r;
 
-  // Order candidates: priority first, then nearer wins ties — the user
-  // cares most about urgent and nearby content.
-  std::vector<const ClassifiedAnnotation*> cands;
-  for (const auto& c : classified) {
+  // Candidates leave a max-heap in the declutter order (layout.h): only as
+  // many are popped as it takes to fill the label budget.
+  struct Key {
+    double priority;
+    double distance_m;
+    std::uint64_t id;
+    std::size_t index;  // into `classified`
+  };
+  std::vector<Key> heap;
+  for (std::size_t i = 0; i < classified.size(); ++i) {
+    const auto& c = classified[i];
     if (c.visibility == Visibility::kOutOfView) continue;
     if (c.annotation->priority < cfg_.min_priority) continue;
     if (c.visibility == Visibility::kOccluded && !cfg_.show_occluded_as_xray) continue;
-    cands.push_back(&c);
+    heap.push_back({c.annotation->priority, c.distance_m, c.annotation->id, i});
   }
-  r.candidates = cands.size();
-  std::sort(cands.begin(), cands.end(),
-            [](const ClassifiedAnnotation* a, const ClassifiedAnnotation* b) {
-              if (a->annotation->priority != b->annotation->priority) {
-                return a->annotation->priority > b->annotation->priority;
-              }
-              return a->distance_m < b->distance_m;
-            });
+  r.candidates = heap.size();
+  // "a after b": the heap's top is the first candidate in the order.
+  const auto after = [](const Key& a, const Key& b) {
+    if (a.priority != b.priority) return a.priority < b.priority;
+    if (a.distance_m != b.distance_m) return a.distance_m > b.distance_m;
+    if (a.id != b.id) return a.id > b.id;
+    return a.index > b.index;
+  };
+  std::make_heap(heap.begin(), heap.end(), after);
 
   // Candidate offsets around the anchor: above, right, left, below, then
   // diagonals, progressively further out.
@@ -85,21 +93,20 @@ LayoutResult LabelLayout::ArrangeDeclutter(
       {0, -h * 2.4},  {0, h * 2.4},   {w * 1.4, 0},   {-w * 1.4, 0},
   };
 
-  for (const auto* c : cands) {
-    if (r.labels.size() >= cfg_.max_labels) {
-      ++r.dropped;
-      continue;
-    }
+  while (!heap.empty() && r.labels.size() < cfg_.max_labels) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    const ClassifiedAnnotation& c = classified[heap.back().index];
+    heap.pop_back();
     bool placed = false;
     for (const auto& [dx, dy] : offsets) {
       LabelBox box;
       box.width = w;
       box.height = h;
-      box.x = c->screen.x - w / 2.0 + dx;
-      box.y = c->screen.y - h / 2.0 + dy;
-      box.annotation = c->annotation;
-      box.visibility = c->visibility;
-      box.xray = c->visibility == Visibility::kOccluded;
+      box.x = c.screen.x - w / 2.0 + dx;
+      box.y = c.screen.y - h / 2.0 + dy;
+      box.annotation = c.annotation;
+      box.visibility = c.visibility;
+      box.xray = c.visibility == Visibility::kOccluded;
       // Clamp to screen.
       if (box.x < 0 || box.y < 0 || box.x + box.width > intrinsics.width_px ||
           box.y + box.height > intrinsics.height_px) {
@@ -115,6 +122,7 @@ LayoutResult LabelLayout::ArrangeDeclutter(
     }
     if (!placed) ++r.dropped;
   }
+  r.dropped += heap.size();  // the budget is full: never visited
   r.placed = r.labels.size();
   r.overlap_ratio = OverlapRatio(r.labels);
   return r;

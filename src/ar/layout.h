@@ -6,6 +6,13 @@
 //    the paper (citing MacIntyre's "POIs are pointless") argues against.
 //  * kDeclutter — priority-greedy placement with candidate offsets around
 //    the anchor, occlusion-aware styling, and a hard overlap prohibition.
+//    Candidates are tried in a total order: priority descending, then
+//    distance ascending, then annotation id ascending, then position in
+//    the input. Equal priorities and anchors are common (rule-generated
+//    annotations share both), so without the last two keys the labels
+//    would depend on input order and on the sort. Candidates come off a
+//    heap only until max_labels are placed; the rest count as dropped
+//    without being tried.
 //
 // The E2 experiment measures exactly the difference between the two.
 #pragma once

@@ -4,6 +4,7 @@
 // precisely that AR browsers skip this step.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ar/content.h"
@@ -25,14 +26,33 @@ struct ClassifiedAnnotation {
   double distance_m = 0.0;
 };
 
+// What ClassifyRows appended: every entry is in view, some occluded.
+struct ClassifyCounts {
+  std::size_t in_view = 0;
+  std::size_t occluded = 0;
+};
+
 class OcclusionClassifier {
  public:
   // `city` may be null — then nothing is ever occluded (the naive AR
   // browser behaviour the paper criticizes).
   explicit OcclusionClassifier(const geo::CityModel* city) : city_(city) {}
 
-  ClassifiedAnnotation Classify(const content::Annotation& a, const CameraView& view) const;
+  // The classification kernel, over rows [lo, hi) of `anchors`, whose row
+  // i is the anchor of `annotations[i]` (as AnnotationStore's Anchors()
+  // and Live() align). Appends to `out`, in row order, only the rows that
+  // are not kOutOfView. The in-view mask is computed for every row without
+  // branches, through CameraView::ToCamera; the screen point, depth and
+  // occlusion raycast run only on the rows that pass it. Pure and const:
+  // disjoint row ranges may be classified concurrently and their outputs
+  // concatenated.
+  ClassifyCounts ClassifyRows(const content::AnchorTable& anchors,
+                              std::span<const content::Annotation* const> annotations,
+                              std::size_t lo, std::size_t hi, const CameraView& view,
+                              std::vector<ClassifiedAnnotation>& out) const;
 
+  // One entry per annotation, in input order (kOutOfView included): the
+  // kernel over rows gathered from the annotations.
   std::vector<ClassifiedAnnotation> ClassifyAll(
       const std::vector<const content::Annotation*>& annotations,
       const CameraView& view) const;

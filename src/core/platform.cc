@@ -66,13 +66,10 @@ Platform::Platform(PlatformConfig cfg, const geo::CityModel& city, SimClock& clo
   interpreter_ = std::make_unique<InterpretationEngine>(
       [this](const std::string& key) -> EntityContext {
         EntityContext ctx;
-        for (const auto* poi : city_.pois().All()) {
-          if (poi->name == key) {
-            ctx.pos = poi->pos;
-            ctx.height_m = poi->height_m;
-            ctx.has_position = true;
-            break;
-          }
+        if (const geo::Poi* poi = city_.pois().FindByName(key)) {
+          ctx.pos = poi->pos;
+          ctx.height_m = poi->height_m;
+          ctx.has_position = true;
         }
         return ctx;
       });
@@ -87,7 +84,7 @@ Status Platform::PublishTraced(const stream::Event& event, qos::PriorityClass pr
                                trace::SpanContext& ctx) {
   const bool traced = tracer_->enabled() && ctx.valid();
   const std::uint64_t salt =
-      Fnv1a(event.key) ^ static_cast<std::uint64_t>(event.event_time.nanos());
+      traced ? Fnv1a(event.key) ^ static_cast<std::uint64_t>(event.event_time.nanos()) : 0;
   if (admission_ != nullptr) {
     admission_->UpdatePressureAll(broker_.Pressure(cfg_.event_topic));
     if (!admission_->Admit(priority)) {
@@ -302,27 +299,32 @@ Expected<FrameResult> Platform::ComposeFrame(const std::string& user_id) {
   const ar::CameraView view = (*user)->View();
   const ar::OcclusionClassifier& classifier =
       profile.occlusion_raycast ? classifier_ : degraded_classifier_;
+  const ar::content::AnchorTable& anchors = annotations_.Anchors();
+  // Only the in-view entries reach the layout, which skips kOutOfView.
   std::vector<ar::ClassifiedAnnotation> classified;
   if (exec_->workers() > 1 && live.size() >= exec_->workers() * 2) {
-    // Per-annotation classification is pure (read-only city raycasts) and
-    // lands at a fixed index, so chunked parallel execution reproduces
-    // ClassifyAll's output exactly.
-    classified.resize(live.size());
+    // The kernel is pure (read-only city raycasts) and keeps row order, so
+    // classifying row ranges in parallel and concatenating them in range
+    // order reproduces the one-pass output exactly.
     const std::size_t chunks = exec_->workers();
     const std::size_t per = (live.size() + chunks - 1) / chunks;
+    std::vector<std::vector<ar::ClassifiedAnnotation>> parts(chunks);
+    std::vector<ar::ClassifyCounts> counts(chunks);
     exec_->ParallelFor(chunks, [&](std::size_t c) {
-      const std::size_t lo = c * per;
+      const std::size_t lo = std::min(live.size(), c * per);
       const std::size_t hi = std::min(live.size(), lo + per);
-      for (std::size_t i = lo; i < hi; ++i) {
-        classified[i] = classifier.Classify(*live[i], view);
-      }
+      counts[c] = classifier.ClassifyRows(anchors, live, lo, hi, view, parts[c]);
     });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      classified.insert(classified.end(), parts[c].begin(), parts[c].end());
+      frame.in_view += counts[c].in_view;
+      frame.occluded += counts[c].occluded;
+    }
   } else {
-    classified = classifier.ClassifyAll(live, view);
-  }
-  for (const auto& c : classified) {
-    if (c.visibility != ar::Visibility::kOutOfView) ++frame.in_view;
-    if (c.visibility == ar::Visibility::kOccluded) ++frame.occluded;
+    const ar::ClassifyCounts counts =
+        classifier.ClassifyRows(anchors, live, 0, live.size(), view, classified);
+    frame.in_view = counts.in_view;
+    frame.occluded = counts.occluded;
   }
   if (profile.label_budget_scale < 1.0) {
     ar::LayoutConfig scaled = cfg_.layout;

@@ -44,13 +44,6 @@ LatLon Offset(const LatLon& origin, double distance_m, double bearing_deg) {
   return {phi2 * kRadToDeg, lam2 * kRadToDeg};
 }
 
-Enu EnuFrame::ToEnu(const LatLon& p) const {
-  Enu e;
-  e.north = (p.lat - origin_.lat) * kDegToRad * kEarthRadiusM;
-  e.east = (p.lon - origin_.lon) * kDegToRad * kEarthRadiusM * cos_lat_;
-  return e;
-}
-
 LatLon EnuFrame::FromEnu(const Enu& e) const {
   LatLon p;
   p.lat = origin_.lat + (e.north / kEarthRadiusM) * kRadToDeg;

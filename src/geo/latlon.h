@@ -45,7 +45,14 @@ class EnuFrame {
   explicit EnuFrame(LatLon origin) : origin_(origin),
       cos_lat_(std::cos(origin.lat * kDegToRad)) {}
 
-  Enu ToEnu(const LatLon& p) const;
+  // Inline: the AR classification kernel projects every live anchor
+  // through it each frame.
+  Enu ToEnu(const LatLon& p) const {
+    Enu e;
+    e.north = (p.lat - origin_.lat) * kDegToRad * kEarthRadiusM;
+    e.east = (p.lon - origin_.lon) * kDegToRad * kEarthRadiusM * cos_lat_;
+    return e;
+  }
   LatLon FromEnu(const Enu& e) const;
   const LatLon& origin() const { return origin_; }
 

@@ -30,7 +30,7 @@ Expected<PoiId> PoiStore::Add(Poi poi) {
   poi.id = next_id_++;
   index_.Insert(poi.id, poi.pos);
   const PoiId id = poi.id;
-  pois_[id] = std::move(poi);
+  IndexName(pois_.emplace_hint(pois_.end(), id, std::move(poi))->second);  // ids only grow
   return id;
 }
 
@@ -44,7 +44,9 @@ Status PoiStore::Update(const Poi& poi) {
     index_.Remove(poi.id, it->second.pos);
     index_.Insert(poi.id, poi.pos);
   }
+  const bool renamed = it->second.name != poi.name;
   it->second = poi;
+  if (renamed) RebuildNameIndex();
   return Status::Ok();
 }
 
@@ -53,6 +55,7 @@ Status PoiStore::Remove(PoiId id) {
   if (it == pois_.end()) return Status::NotFound("POI id " + std::to_string(id));
   index_.Remove(id, it->second.pos);
   pois_.erase(it);
+  RebuildNameIndex();
   return Status::Ok();
 }
 
@@ -120,6 +123,38 @@ std::vector<const Poi*> PoiStore::WithinRadiusLinear(const LatLon& center,
     if (DistanceM(center, p.pos) <= radius_m) out.push_back(&p);
   }
   return out;
+}
+
+const Poi* PoiStore::FindByName(const std::string& name) const {
+  if (by_name_.empty()) return nullptr;
+  const std::size_t mask = by_name_.size() - 1;
+  for (std::size_t i = std::hash<std::string>{}(name) & mask;; i = (i + 1) & mask) {
+    if (by_name_[i] == nullptr || by_name_[i]->name == name) return by_name_[i];
+  }
+}
+
+void PoiStore::IndexName(const Poi& poi) {
+  // poi is already in pois_, so a rebuild indexes it.
+  if (2 * (names_ + 1) > by_name_.size()) return RebuildNameIndex();
+  const std::size_t mask = by_name_.size() - 1;
+  for (std::size_t i = std::hash<std::string>{}(poi.name) & mask;; i = (i + 1) & mask) {
+    if (by_name_[i] == nullptr) {
+      by_name_[i] = &poi;
+      ++names_;
+      return;
+    }
+    if (by_name_[i]->name == poi.name) return;
+  }
+}
+
+void PoiStore::RebuildNameIndex() {
+  // At least twice the POIs, so the IndexName calls below never rebuild.
+  std::size_t slots = 16;
+  while (slots < 2 * (pois_.size() + 1)) slots *= 2;
+  by_name_.assign(slots, nullptr);
+  names_ = 0;
+  // In id order, so each name keeps its lowest id.
+  for (const auto& [_, p] : pois_) IndexName(p);
 }
 
 std::vector<const Poi*> PoiStore::All() const {

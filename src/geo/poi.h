@@ -47,6 +47,11 @@ struct Poi {
 class PoiStore {
  public:
   explicit PoiStore(BBox bounds);
+  // by_name_ points into pois_' nodes: a copy would point into the source.
+  PoiStore(const PoiStore&) = delete;
+  PoiStore& operator=(const PoiStore&) = delete;
+  PoiStore(PoiStore&&) = default;
+  PoiStore& operator=(PoiStore&&) = default;
 
   // Ids are assigned by the store; returns the stored id.
   Expected<PoiId> Add(Poi poi);
@@ -70,10 +75,23 @@ class PoiStore {
   // All POIs (stable id order) — used by workload generators.
   std::vector<const Poi*> All() const;
 
+  // The lowest-id POI with this name (what a scan of All() finds first),
+  // or null.
+  const Poi* FindByName(const std::string& name) const;
+
  private:
+  // Adds poi to the name index unless a lower id holds its name.
+  void IndexName(const Poi& poi);
+  void RebuildNameIndex();
+
   BBox bounds_;
   QuadTree index_;
   std::map<PoiId, Poi> pois_;
+  // Name index: open addressing on the name's hash, linear probing, at
+  // most half full; each slot is null or the lowest-id POI of its name.
+  // Flat, so building it costs no allocation per POI.
+  std::vector<const Poi*> by_name_;
+  std::size_t names_ = 0;  // occupied slots
   PoiId next_id_ = 1;
 };
 

@@ -124,7 +124,8 @@ TEST(AnnotationStore, ExpiryEdgeCases) {
 }
 
 // Seeded random Add/Remove/ExpireOlderThan sequences against a brute-force
-// model: an id-keyed map that expires by scanning every entry.
+// model: an id-keyed map that expires by scanning every entry. The anchor
+// table must hold each live annotation's anchor in its Live() row.
 TEST(AnnotationStore, MatchesBruteForceModel) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     Rng rng(seed);
@@ -142,6 +143,11 @@ TEST(AnnotationStore, MatchesBruteForceModel) {
           case 1: a.ttl = Duration::Seconds(1'000'000'000); break;
           default: a.ttl = Duration::Seconds(rng.UniformInt(1, 20)); break;
         }
+        // Distinct anchors, so a table row out of step with Live() shows.
+        a.anchor.geo_pos = {rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0)};
+        a.anchor.height_m = rng.Uniform(0.0, 50.0);
+        a.anchor.building_id = rng.NextBelow(4);
+        if (rng.Bernoulli(0.25)) a.anchor.kind = content::Anchor::Kind::kScreen;
         const auto id = store.Add(a);
         ASSERT_EQ(id, model_next);
         a.id = model_next++;
@@ -173,12 +179,23 @@ TEST(AnnotationStore, MatchesBruteForceModel) {
 
       ASSERT_EQ(store.size(), model.size());
       const auto& live = store.Live();
+      const auto& rows = store.Anchors();
       ASSERT_EQ(live.size(), model.size());
+      ASSERT_EQ(rows.size(), model.size());
+      ASSERT_EQ(rows.lon.size(), model.size());
+      ASSERT_EQ(rows.height_m.size(), model.size());
+      ASSERT_EQ(rows.building_id.size(), model.size());
+      ASSERT_EQ(rows.kind.size(), model.size());
       std::size_t i = 0;
       for (const auto& [id, a] : model) {
         ASSERT_EQ(live[i], store.Get(id)) << "seed " << seed << " step " << step;
         ASSERT_EQ(live[i]->id, id);
         ASSERT_EQ(live[i]->title, a.title);
+        ASSERT_EQ(rows.lat[i], a.anchor.geo_pos.lat) << "seed " << seed << " step " << step;
+        ASSERT_EQ(rows.lon[i], a.anchor.geo_pos.lon);
+        ASSERT_EQ(rows.height_m[i], a.anchor.height_m);
+        ASSERT_EQ(rows.building_id[i], a.anchor.building_id);
+        ASSERT_EQ(rows.kind[i], a.anchor.kind);
         ++i;
       }
       const std::uint64_t probe = 1 + rng.NextBelow(model_next + 2);

@@ -109,6 +109,43 @@ TEST(PoiStore, CategoryFilteredKnn) {
   EXPECT_EQ(store.NearestOfCategory(kCenter, PoiCategory::kHospital, 5).size(), 1u);
 }
 
+// What the name index replaces: the first POI of that name in id order.
+const Poi* FindByNameLinear(const PoiStore& store, const std::string& name) {
+  for (const auto* p : store.All()) {
+    if (p->name == name) return p;
+  }
+  return nullptr;
+}
+
+TEST(PoiStore, FindByNameMatchesLinearScan) {
+  const CityModel city = CityModel::Generate(CityConfig{}, 7);
+  const PoiStore& pois = city.pois();
+  ASSERT_GT(pois.size(), 0u);
+  for (const auto* p : pois.All()) {
+    EXPECT_EQ(pois.FindByName(p->name), FindByNameLinear(pois, p->name)) << p->name;
+  }
+  EXPECT_EQ(pois.FindByName("no such place"), nullptr);
+
+  // Shared names, renames and removals keep the lowest id first.
+  PoiStore store(kBounds);
+  std::vector<PoiId> ids;
+  Rng rng(11);
+  for (int i = 0; i < 200; ++i) {
+    ids.push_back(*store.Add(MakePoi("n" + std::to_string(rng.NextBelow(20)), kCenter)));
+    const auto target = store.Get(ids[rng.NextBelow(ids.size())]);
+    if (target.ok() && rng.NextBelow(4) == 0) {
+      Poi renamed = **target;
+      renamed.name = "n" + std::to_string(rng.NextBelow(20));
+      ASSERT_TRUE(store.Update(renamed).ok());
+    }
+    if (rng.NextBelow(5) == 0) (void)store.Remove(ids[rng.NextBelow(ids.size())]);
+    for (int n = 0; n < 21; ++n) {
+      const std::string name = "n" + std::to_string(n);
+      ASSERT_EQ(store.FindByName(name), FindByNameLinear(store, name)) << name << " step " << i;
+    }
+  }
+}
+
 TEST(CityModel, GenerationIsDeterministic) {
   const CityConfig cfg;
   const auto a = CityModel::Generate(cfg, 42);
