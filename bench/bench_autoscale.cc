@@ -269,7 +269,7 @@ int RunExperiment(bool quick) {
               TimePoint::FromMillis(static_cast<std::int64_t>(i))));
         }
         const auto report = stream::ParallelProduce(
-            ex, broker, "e26.load", std::move(records), Duration::Micros(2),
+            ex, broker, "e26.load", std::move(records),
             [&cl](const stream::Record& r) {
               auto p = cl.RoutePartition("e26.load", r.key);
               return p.ok() ? *p : stream::PartitionId{0};

@@ -321,8 +321,7 @@ int RunExperiment(bool quick) {
             "k" + std::to_string(rng.NextU64() % 64), "v" + std::to_string(i),
             TimePoint::FromMillis(static_cast<std::int64_t>(i))));
       }
-      (void)stream::ParallelProduce(ex, broker, "e27.load", std::move(records),
-                                    Duration::Micros(2));
+      (void)stream::ParallelProduce(ex, broker, "e27.load", std::move(records));
       // Brown out the leader of partition 0 and read everything back
       // through a hedged reader: the race winner must serve the same rows.
       auto victim = cl.LeaderBroker("e27.load", 0);

@@ -209,8 +209,8 @@ int RunExperiment(bool quick) {
             "k" + std::to_string(rng.NextU64() % 64), Bytes(24, 0x5a),
             TimePoint::FromMillis(static_cast<std::int64_t>(i))));
       }
-      const auto report = stream::ParallelProduce(ex, broker, "e24.load",
-                                                  std::move(records), Duration::Micros(2));
+      const auto report =
+          stream::ParallelProduce(ex, broker, "e24.load", std::move(records));
       auto topic = broker.GetTopic("e24.load");
       pp_digests.push_back(stream::CommittedTopicDigest(**topic));
       char buf[32];

@@ -1,30 +1,31 @@
-// E20 — deterministic executor scaling. Three parts:
+// E20 — deterministic executor: digest invariance across worker counts,
+// with measured wall time beside it. Three parts:
 //
 //   E20a: partitioned broker workload — P=16 partitions, pre-generated
 //         keyed records pushed through ParallelProduce + ParallelFetchAll
-//         at workers ∈ {1,2,4,8}. Throughput is *modeled* records/sec,
-//         computed from the executor's virtual makespan (each append
-//         bills 2µs, each fetch 1µs to the executing worker's virtual
-//         clock); the host's core count therefore does not affect the
-//         scaling numbers, only the informational wall column. Gates:
-//         workers=4 achieves >= 2.5x the workers=1 throughput, the run
-//         outcome digest is identical at every worker count, and the
-//         workers=1 digest equals a hand-rolled serial reference loop
-//         (the pre-refactor code path).
+//         at workers ∈ {1,2,4,8}. Gates: the run outcome digest is
+//         identical at every worker count, and the workers=1 digest equals
+//         a hand-rolled serial reference loop (the pre-executor code path).
 //
 //   E20b: frame path — SimulateFleetFrames (8 users, one shard each) at
-//         the same worker counts. The per-frame p99 must be bit-identical
-//         across worker counts (per-user state is task-local, merged in
-//         user order), and the virtual makespan must shrink with workers.
+//         the same worker counts. Gates: the fleet stats digest and the
+//         per-frame p99 are bit-identical across worker counts (per-user
+//         state is task-local, merged in user order).
 //
 //   E20c: whole-scenario digests — TourismDigest / OverloadDigest equal
 //         across worker counts for each seed (the same invariant the
 //         tier-1 determinism test enforces, here across {1,2,4,8}).
 //
+// E20a and E20b also report wall_ms, the median of kRounds runs per worker
+// count taken in alternating order, and w/w1, the median over those rounds
+// of the workers=1 wall time over this row's. Both are measured on the host
+// and reported, not gated: wall-clock gates flake on a shared VM (E25a).
+//
 // `--quick` runs reduced sizes with the same checks and no
 // google-benchmark timings — the CI exec smoke. Exit code = failures.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -45,8 +46,7 @@ namespace {
 using namespace arbd;
 
 constexpr std::uint32_t kPartitions = 16;
-constexpr Duration kProduceCost = Duration::Micros(2);
-constexpr Duration kFetchCost = Duration::Micros(1);
+constexpr int kRounds = 5;
 
 struct CheckList {
   int failures = 0;
@@ -96,9 +96,7 @@ std::uint64_t FoldBrokerOutcome(const stream::ParallelProduceReport& rep,
 
 struct BrokerRun {
   std::uint64_t digest = 0;
-  double makespan_ms = 0.0;
   double wall_ms = 0.0;
-  double recs_per_s = 0.0;  // modeled, from virtual makespan
 };
 
 BrokerRun RunBrokerWorkload(std::size_t workers, std::size_t n_records) {
@@ -114,23 +112,13 @@ BrokerRun RunBrokerWorkload(std::size_t workers, std::size_t n_records) {
 
   auto records = MakeRecords(n_records, 42);
   const auto wall0 = std::chrono::steady_clock::now();
-  const auto rep =
-      stream::ParallelProduce(ex, broker, "e20.load", std::move(records), kProduceCost);
-  const auto fetched =
-      stream::ParallelFetchAll(ex, broker, "e20.load", n_records, kFetchCost);
+  const auto rep = stream::ParallelProduce(ex, broker, "e20.load", std::move(records));
+  const auto fetched = stream::ParallelFetchAll(ex, broker, "e20.load", n_records);
   const auto wall1 = std::chrono::steady_clock::now();
 
   BrokerRun run;
   run.digest = FoldBrokerOutcome(rep, fetched, broker, "e20.load");
-  run.makespan_ms = ex.VirtualMakespan().seconds() * 1e3;
-  run.wall_ms =
-      std::chrono::duration<double, std::milli>(wall1 - wall0).count();
-  std::size_t total_fetched = 0;
-  for (const auto& part : fetched) total_fetched += part.size();
-  const double makespan_s = ex.VirtualMakespan().seconds();
-  run.recs_per_s = makespan_s > 0.0
-                       ? static_cast<double>(rep.produced + total_fetched) / makespan_s
-                       : 0.0;
+  run.wall_ms = std::chrono::duration<double, std::milli>(wall1 - wall0).count();
   return run;
 }
 
@@ -179,79 +167,126 @@ std::uint64_t FoldFleet(const offload::FleetStats& fs) {
   return Fnv1a(w.bytes());
 }
 
+struct FleetRun {
+  offload::FleetStats stats;
+  std::uint64_t digest = 0;
+  double wall_ms = 0.0;
+};
+
+FleetRun RunFleet(std::size_t workers, const offload::FleetConfig& cfg) {
+  exec::ExecConfig ec;
+  ec.workers = workers;
+  exec::Executor ex(ec);
+  const auto wall0 = std::chrono::steady_clock::now();
+  FleetRun run;
+  run.stats = offload::SimulateFleetFrames(ex, cfg);
+  const auto wall1 = std::chrono::steady_clock::now();
+  run.digest = FoldFleet(run.stats);
+  run.wall_ms = std::chrono::duration<double, std::milli>(wall1 - wall0).count();
+  return run;
+}
+
+// kRounds runs of `run` at every worker count, forward on even rounds and
+// backward on odd ones so drift on the host falls on every count alike.
+// Result [i][r] is round r at workers[i].
+template <typename Run>
+auto Alternate(const std::vector<std::size_t>& workers, Run run) {
+  std::vector<std::vector<decltype(run(std::size_t{1}))>> out(workers.size());
+  for (int r = 0; r < kRounds; ++r) {
+    for (std::size_t k = 0; k < workers.size(); ++k) {
+      const std::size_t i = r % 2 == 0 ? k : workers.size() - 1 - k;
+      out[i].push_back(run(workers[i]));
+    }
+  }
+  return out;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+template <typename R>
+double MedianWallMs(const std::vector<R>& runs) {
+  std::vector<double> v;
+  for (const R& r : runs) v.push_back(r.wall_ms);
+  return Median(std::move(v));
+}
+
+// Median over rounds of the workers=1 wall time over `runs`' wall time.
+template <typename R>
+double MedianSpeedup(const std::vector<R>& w1, const std::vector<R>& runs) {
+  std::vector<double> v;
+  for (std::size_t r = 0; r < runs.size(); ++r) v.push_back(w1[r].wall_ms / runs[r].wall_ms);
+  return Median(std::move(v));
+}
+
+template <typename R>
+bool AllDigestsEqual(const std::vector<std::vector<R>>& runs, std::uint64_t want) {
+  for (const auto& per_count : runs) {
+    for (const R& r : per_count) {
+      if (r.digest != want) return false;
+    }
+  }
+  return true;
+}
+
+std::string Hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 int RunExperiment(bool quick) {
   const std::vector<std::size_t> worker_counts = {1, 2, 4, 8};
   const std::size_t n_records = quick ? 8'000 : 64'000;
   CheckList checks;
 
   // --- E20a: partitioned broker workload -----------------------------
-  std::vector<BrokerRun> runs;
-  bench::Table table({"workers", "records", "makespan_ms", "recs/s(model)",
-                      "speedup", "wall_ms", "digest"});
-  for (const std::size_t wks : worker_counts) {
-    runs.push_back(RunBrokerWorkload(wks, n_records));
-    const BrokerRun& r = runs.back();
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(r.digest));
-    table.Row({bench::FmtInt(wks), bench::FmtInt(n_records),
-               bench::Fmt("%.2f", r.makespan_ms),
-               bench::Fmt("%.0f", r.recs_per_s),
-               bench::Fmt("%.2fx", runs.front().makespan_ms / r.makespan_ms),
-               bench::Fmt("%.2f", r.wall_ms), buf});
+  const auto runs = Alternate(worker_counts, [n_records](std::size_t wks) {
+    return RunBrokerWorkload(wks, n_records);
+  });
+  bench::Table table({"workers", "records", "wall_ms", "w/w1", "digest"});
+  for (std::size_t i = 0; i < worker_counts.size(); ++i) {
+    table.Row({bench::FmtInt(worker_counts[i]), bench::FmtInt(n_records),
+               bench::Fmt("%.2f", MedianWallMs(runs[i])),
+               bench::Fmt("%.2fx", MedianSpeedup(runs[0], runs[i])),
+               Hex(runs[i][0].digest)});
   }
-  table.Print("E20a partitioned broker workload (modeled scaling, P=16)");
+  table.Print("E20a partitioned broker workload (P=16, measured wall time)");
 
   const std::uint64_t serial_digest = SerialReferenceDigest(n_records);
-  checks.Check(runs[0].digest == serial_digest,
+  checks.Check(runs[0][0].digest == serial_digest,
                "broker: workers=1 digest equals the serial reference loop");
-  bool all_equal = true;
-  for (const auto& r : runs) all_equal = all_equal && r.digest == runs[0].digest;
-  checks.Check(all_equal, "broker: outcome digest identical at workers 1/2/4/8");
-  const double speedup4 = runs[0].makespan_ms / runs[2].makespan_ms;
-  checks.Check(speedup4 >= 2.5,
-               bench::Fmt("broker: workers=4 modeled speedup %.2fx >= 2.5x", speedup4));
-  checks.Check(runs[3].makespan_ms <= runs[2].makespan_ms + 1e-9,
-               "broker: makespan non-increasing from 4 to 8 workers");
+  checks.Check(AllDigestsEqual(runs, runs[0][0].digest),
+               "broker: outcome digest identical at workers 1/2/4/8");
 
   // --- E20b: frame path (fleet of per-user shards) --------------------
   offload::FleetConfig fleet_cfg;
   fleet_cfg.users = 8;
   fleet_cfg.frames_per_user = quick ? 50 : 200;
   fleet_cfg.seed = 9;
-  bench::Table ftable({"workers", "frames", "p99_ms", "hit_rate",
-                       "makespan_ms", "speedup", "digest"});
-  std::vector<std::uint64_t> fleet_digests;
-  std::vector<double> fleet_makespans, fleet_p99s;
-  for (const std::size_t wks : worker_counts) {
-    exec::ExecConfig ec;
-    ec.workers = wks;
-    exec::Executor ex(ec);
-    const auto fs = offload::SimulateFleetFrames(ex, fleet_cfg);
-    fleet_digests.push_back(FoldFleet(fs));
-    fleet_makespans.push_back(ex.VirtualMakespan().seconds() * 1e3);
-    fleet_p99s.push_back(fs.p99_latency_ms);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fleet_digests.back()));
-    ftable.Row({bench::FmtInt(wks), bench::FmtInt(fs.frames),
-                bench::Fmt("%.3f", fs.p99_latency_ms),
-                bench::Fmt("%.3f", fs.hit_rate),
-                bench::Fmt("%.2f", fleet_makespans.back()),
-                bench::Fmt("%.2fx", fleet_makespans.front() / fleet_makespans.back()),
-                buf});
+  const auto fleet = Alternate(worker_counts, [&fleet_cfg](std::size_t wks) {
+    return RunFleet(wks, fleet_cfg);
+  });
+  bench::Table ftable({"workers", "frames", "p99_ms", "hit_rate", "wall_ms", "w/w1",
+                       "digest"});
+  bool p99_equal = true;
+  for (std::size_t i = 0; i < worker_counts.size(); ++i) {
+    const offload::FleetStats& fs = fleet[i][0].stats;
+    ftable.Row({bench::FmtInt(worker_counts[i]), bench::FmtInt(fs.frames),
+                bench::Fmt("%.3f", fs.p99_latency_ms), bench::Fmt("%.3f", fs.hit_rate),
+                bench::Fmt("%.2f", MedianWallMs(fleet[i])),
+                bench::Fmt("%.2fx", MedianSpeedup(fleet[0], fleet[i])),
+                Hex(fleet[i][0].digest)});
+    for (const FleetRun& r : fleet[i]) {
+      p99_equal = p99_equal && r.stats.p99_latency_ms == fleet[0][0].stats.p99_latency_ms;
+    }
   }
   ftable.Print("E20b frame path: 8-user fleet, per-user shards");
-  bool fleet_equal = true, p99_equal = true;
-  for (std::size_t i = 0; i < fleet_digests.size(); ++i) {
-    fleet_equal = fleet_equal && fleet_digests[i] == fleet_digests[0];
-    p99_equal = p99_equal && fleet_p99s[i] == fleet_p99s[0];
-  }
-  checks.Check(fleet_equal, "fleet: stats digest identical at workers 1/2/4/8");
+  checks.Check(AllDigestsEqual(fleet, fleet[0][0].digest),
+               "fleet: stats digest identical at workers 1/2/4/8");
   checks.Check(p99_equal, "fleet: frame p99 bit-identical at every worker count");
-  checks.Check(fleet_makespans[0] / fleet_makespans[2] >= 1.5,
-               bench::Fmt("fleet: workers=4 modeled speedup %.2fx >= 1.5x",
-                          fleet_makespans[0] / fleet_makespans[2]));
 
   // --- E20c: whole-scenario digests -----------------------------------
   const std::vector<std::uint64_t> seeds =

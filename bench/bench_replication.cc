@@ -155,8 +155,7 @@ int RunExperiment(bool quick) {
             "k" + std::to_string(rng.NextU64() % 64), Bytes(24, 0x5a),
             TimePoint::FromMillis(static_cast<std::int64_t>(i))));
       }
-      (void)stream::ParallelProduce(ex, broker, "e22.load", std::move(records),
-                                    Duration::Micros(2));
+      (void)stream::ParallelProduce(ex, broker, "e22.load", std::move(records));
       auto topic = broker.GetTopic("e22.load");
       wf_digests.push_back(stream::CommittedTopicDigest(**topic));
       char buf[32];

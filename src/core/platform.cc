@@ -154,10 +154,10 @@ void Platform::AddAggregation(const AggregationSpec& spec) {
   job.pipeline->set_tracer(tracer_);
   if (cfg_.qos.enabled) job.pipeline->set_input_budget(cfg_.qos.pipeline_budget_records);
   const std::string attr = spec.attribute;
-  // The sink only buffers: it may run on a worker (terminal stage task),
-  // so interpretation — which touches the shared annotation store — is
-  // deferred to the driver (ProcessPending merges buffers in job order).
-  // Index capture keeps the sink valid across jobs_ reallocation.
+  // The sink only buffers: an unbudgeted Offer processes the event at
+  // once, so the jobs' sinks fire interleaved in event order, and
+  // ProcessPending interprets the buffers in job order instead. Index
+  // capture keeps the sink valid across jobs_ reallocation.
   const std::size_t job_index = jobs_.size();
   job.pipeline->Filter([attr](const stream::Event& e) { return e.attribute == attr; })
       .WindowAggregate(spec.window, spec.agg, spec.allowed_lateness)
@@ -228,27 +228,14 @@ std::size_t Platform::ProcessPending(std::size_t max_records) {
     }
     events.push_back(std::move(*event));
   }
-  if (exec_->workers() > 1) {
-    // Each job's stage chain occupies its own shard range, so the jobs
-    // progress concurrently; within a job, stages pipeline in order.
-    std::uint64_t shard_base = 1;
+  for (const auto& event : events) {
     for (auto& job : jobs_) {
-      job.pipeline->ProcessBatchParallel(*exec_, events, shard_base);
-      shard_base += job.pipeline->stage_count() + 1;
+      // The credit clamp above guarantees this Offer fits the inbox.
+      (void)job.pipeline->Offer(event);
     }
-    exec_->Drain();
-  } else {
-    for (const auto& event : events) {
-      for (auto& job : jobs_) {
-        // The credit clamp above guarantees this Offer fits the inbox.
-        (void)job.pipeline->Offer(event);
-      }
-    }
-    for (auto& job : jobs_) job.pipeline->DrainPending(fetched);
   }
-  // Merge point: window results feed interpretation in job order, the
-  // same order the synchronous drain fired sinks — identical annotation
-  // ids and contents regardless of worker count.
+  for (auto& job : jobs_) job.pipeline->DrainPending(fetched);
+  // Window results feed interpretation in job order.
   for (auto& job : jobs_) {
     for (const auto& r : job.results) {
       ++results_interpreted_;
@@ -297,35 +284,13 @@ Expected<FrameResult> Platform::ComposeFrame(const std::string& user_id) {
   frame.live_annotations = live.size();
 
   const ar::CameraView view = (*user)->View();
-  const ar::OcclusionClassifier& classifier =
-      profile.occlusion_raycast ? classifier_ : degraded_classifier_;
-  const ar::content::AnchorTable& anchors = annotations_.Anchors();
   // Only the in-view entries reach the layout, which skips kOutOfView.
   std::vector<ar::ClassifiedAnnotation> classified;
-  if (exec_->workers() > 1 && live.size() >= exec_->workers() * 2) {
-    // The kernel is pure (read-only city raycasts) and keeps row order, so
-    // classifying row ranges in parallel and concatenating them in range
-    // order reproduces the one-pass output exactly.
-    const std::size_t chunks = exec_->workers();
-    const std::size_t per = (live.size() + chunks - 1) / chunks;
-    std::vector<std::vector<ar::ClassifiedAnnotation>> parts(chunks);
-    std::vector<ar::ClassifyCounts> counts(chunks);
-    exec_->ParallelFor(chunks, [&](std::size_t c) {
-      const std::size_t lo = std::min(live.size(), c * per);
-      const std::size_t hi = std::min(live.size(), lo + per);
-      counts[c] = classifier.ClassifyRows(anchors, live, lo, hi, view, parts[c]);
-    });
-    for (std::size_t c = 0; c < chunks; ++c) {
-      classified.insert(classified.end(), parts[c].begin(), parts[c].end());
-      frame.in_view += counts[c].in_view;
-      frame.occluded += counts[c].occluded;
-    }
-  } else {
-    const ar::ClassifyCounts counts =
-        classifier.ClassifyRows(anchors, live, 0, live.size(), view, classified);
-    frame.in_view = counts.in_view;
-    frame.occluded = counts.occluded;
-  }
+  const ar::ClassifyCounts counts =
+      classifier_.ClassifyRows(annotations_.Anchors(), live, 0, live.size(), view,
+                               profile.occlusion_raycast, classified);
+  frame.in_view = counts.in_view;
+  frame.occluded = counts.occluded;
   if (profile.label_budget_scale < 1.0) {
     ar::LayoutConfig scaled = cfg_.layout;
     scaled.max_labels = std::max<std::size_t>(

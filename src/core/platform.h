@@ -8,13 +8,10 @@
 //          → InterpretationEngine → AnnotationStore
 //          → [per frame] OcclusionClassifier → LabelLayout → FrameResult
 //
-// Execution: the platform owns a deterministic executor (src/exec). With
-// workers=1 (the default) everything runs inline on the caller, exactly
-// the original single-threaded behaviour; with more workers, ProcessPending
-// fans each dataflow job's stages out as executor tasks and ComposeFrame
-// classifies annotations in parallel chunks. Results are merged in job /
-// index order, so outputs are identical at every worker count — see
-// docs/execution.md for the determinism contract.
+// Execution: Publish, ProcessPending and ComposeFrame run inline on the
+// caller at every worker count, so their outputs do not depend on it. The
+// platform also owns a deterministic executor (src/exec) that harnesses
+// fan their own per-shard work out on — see docs/execution.md.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +81,9 @@ struct PlatformConfig {
   ar::LayoutConfig layout;
   ContextConfig context;
   PlatformQosConfig qos;
-  // Worker pool for ingestion and frame composition. Defaults to
-  // RuntimeConfig::exec_workers so CI can run the whole suite at several
-  // worker counts without touching call sites.
+  // Worker pool of executor(), which the platform's own calls do not use.
+  // Defaults to RuntimeConfig::exec_workers so CI can run the whole suite
+  // at several worker counts without touching call sites.
   exec::ExecConfig exec{.workers = RuntimeConfig::Process().exec_workers};
   // Causal tracer wired through broker, pipelines, and the frame path.
   // Null selects trace::Tracer::Global() (ARBD_TRACE=1 turns it on); all
@@ -199,8 +196,7 @@ class Platform {
     AggregationSpec spec;
     std::unique_ptr<stream::Pipeline> pipeline;
     // Window results buffered by the job's sink during processing, then
-    // interpreted on the driver in job order — the deterministic merge
-    // point between parallel pipelines and the shared annotation store.
+    // interpreted in job order.
     std::vector<stream::WindowResult> results;
   };
 
@@ -219,9 +215,6 @@ class Platform {
   std::unique_ptr<InterpretationEngine> interpreter_;
   ar::content::AnnotationStore annotations_;
   ar::OcclusionClassifier classifier_;
-  // No-raycast classifier used at degradation level >= 1 (nothing is ever
-  // occluded — the naive-browser behaviour, accepted as the cheap rung).
-  ar::OcclusionClassifier degraded_classifier_{nullptr};
   ar::LabelLayout layout_;
   std::map<std::string, std::unique_ptr<ContextEngine>> users_;
   // Idempotent-publish identity: stable producer id plus per-partition

@@ -1,9 +1,8 @@
-// Deterministic multi-worker executor — the concurrency substrate every
-// sharded layer (broker partitions, pipeline stages, per-user frame loops)
-// runs on. The design goal is *controlled* parallelism: for a given
-// worker count a run is bit-identical, and for workloads that keep their
-// shards disjoint the results are identical across worker counts —
-// which is what makes parallel scenario runs benchmarkable and lets CI
+// Deterministic multi-worker executor — the concurrency substrate the
+// sharded harnesses (broker partitions, per-user frame loops) run on. The
+// design goal is *controlled* parallelism: for a given worker count a run
+// is bit-identical, and for workloads that keep their shards disjoint the
+// results are identical across worker counts — which is what lets CI
 // assert digest equality between workers=1 and workers=4.
 //
 // Model:
@@ -16,17 +15,11 @@
 //     mutable state must land in index-addressed slots the driver folds in
 //     index order after Drain, or be commutative (atomic counters of
 //     integral deltas).
-//   - Each worker keeps a *virtual clock*: tasks carry a modeled cost
-//     (SubmitCost / AddVirtualCost) and the clock advances by cost, never
-//     by wall time. VirtualMakespan() — the max worker clock — is the
-//     modeled parallel completion time; bench_exec (E20) reports modeled
-//     records/sec from it, so scaling numbers are deterministic and do not
-//     depend on the host's core count.
 //
-// Driver contract: Submit/ParallelFor/Drain are called from one driver
-// thread; tasks may Submit follow-up work (each downstream shard must be
-// fed from a single upstream shard to keep its order deterministic), but
-// only the driver may Drain.
+// Driver contract: Submit/Drain are called from one driver thread; tasks
+// may Submit follow-up work (each downstream shard must be fed from a
+// single upstream shard to keep its order deterministic), but only the
+// driver may Drain.
 #pragma once
 
 #include <condition_variable>
@@ -37,8 +30,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/clock.h"
 
 namespace arbd::exec {
 
@@ -59,52 +50,25 @@ class Executor {
     return static_cast<std::size_t>(shard % workers_);
   }
 
-  // Enqueue `fn` on shard's run queue with zero modeled cost.
+  // Enqueue `fn` on shard's run queue.
   void Submit(std::uint64_t shard, std::function<void()> fn);
-  // Enqueue with a modeled cost billed to the executing worker's virtual
-  // clock when the task is dequeued.
-  void SubmitCost(std::uint64_t shard, Duration cost, std::function<void()> fn);
 
   // Block the driver until every submitted task (including tasks submitted
   // by tasks) has completed. Driver-only; calling from a task deadlocks.
   void Drain();
 
-  // Submit fn(0..n-1) with shard=i, then Drain.
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  // Bill additional modeled cost to the calling worker's clock; tasks use
-  // this when the cost is only known while running (e.g. simulated frame
-  // latency). On non-worker threads this bills worker 0.
-  void AddVirtualCost(Duration d);
-
-  Duration WorkerVirtualTime(std::size_t worker) const;
-  Duration VirtualMakespan() const;  // max over workers: modeled parallel time
-  Duration VirtualTotal() const;     // sum over workers: modeled serial time
-  void ResetVirtualTime();
-
   std::uint64_t tasks_run() const;
 
-  // Index of the worker executing the current thread (0 for the driver and
-  // any non-pool thread). MetricRegistry uses its own thread-id sharding,
-  // so this is only for task-local bookkeeping like AddVirtualCost.
-  static std::size_t CurrentWorker();
-
  private:
-  struct Task {
-    Duration cost;
-    std::function<void()> fn;
-  };
   struct Lane {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::condition_variable cv;
-    std::deque<Task> queue;
-    Duration vtime = Duration::Zero();
+    std::deque<std::function<void()>> queue;
     bool stop = false;
     std::thread thread;
   };
 
   void WorkerLoop(std::size_t index);
-  void Enqueue(std::uint64_t shard, Duration cost, std::function<void()> fn);
 
   std::size_t workers_ = 1;
   std::vector<std::unique_ptr<Lane>> lanes_;

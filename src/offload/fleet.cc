@@ -81,7 +81,6 @@ FleetStats SimulateFleetFrames(exec::Executor& exec, const FleetConfig& cfg) {
       FrameStats& stats = per_user[u];
       Histogram& hist = per_user_hist[u];
       double energy_sum = 0.0;
-      Duration busy = Duration::Zero();
       for (std::size_t f = 0; f < cfg.frames_per_user; ++f) {
         Duration frame_latency = Duration::Zero();
         double frame_energy = 0.0;
@@ -93,7 +92,6 @@ FleetStats SimulateFleetFrames(exec::Executor& exec, const FleetConfig& cfg) {
           ++total_tasks[u];
         }
         hist.RecordDuration(frame_latency);
-        busy += frame_latency;
         energy_sum += frame_energy;
         ++stats.frames;
         if (frame_latency <= workload.deadline) ++stats.deadline_hits;
@@ -109,8 +107,6 @@ FleetStats SimulateFleetFrames(exec::Executor& exec, const FleetConfig& cfg) {
           total_tasks[u] ? static_cast<double>(cloud_tasks[u]) /
                                static_cast<double>(total_tasks[u])
                          : 0.0;
-      // The user's simulated frame time is the modeled cost of this task.
-      exec.AddVirtualCost(busy);
     });
   }
   exec.Drain();

@@ -3,9 +3,7 @@
 // OffloadScheduler, so user simulations are fully independent and run in
 // parallel without sharing any mutable state. Per-user results land in
 // slots indexed by user and are merged in user order — identical output
-// at every worker count. Each user's total simulated busy time is billed
-// to the executing worker's virtual clock, which is what E20's frame-path
-// scaling numbers are computed from.
+// at every worker count.
 #pragma once
 
 #include <cstdint>

@@ -67,8 +67,8 @@ std::uint64_t TourismDigest(std::uint64_t seed, const RuntimeConfig& rc) {
   visits_rule.attribute = "visits";
   platform.AddRule(visits_rule);
 
-  // Seeded event streams published serially on the driver; ingestion then
-  // runs through the (possibly parallel) dataflow path.
+  // Seeded event streams published serially on the driver, then ingested
+  // through the dataflow jobs.
   Rng rng(seed ^ 0x70c9a11ULL);
   constexpr int kEvents = 400;
   for (int i = 0; i < kEvents; ++i) {
@@ -166,17 +166,14 @@ std::uint64_t OverloadDigest(std::uint64_t seed, const RuntimeConfig& rc) {
       deferred += batch.size() - credit;
       batch.resize(credit);
     }
-    const auto rep =
-        stream::ParallelProduce(ex, broker, kDigestTopic, std::move(batch),
-                                Duration::Micros(2));
+    const auto rep = stream::ParallelProduce(ex, broker, kDigestTopic, std::move(batch));
     w.WriteU64(rep.produced);
     w.WriteU64(rep.rejected);
     for (const std::size_t c : rep.per_partition) w.WriteU64(c);
 
     // Serve: drain every partition in parallel, fold consumed records in
     // partition-major order, then return budget via TruncateBefore.
-    const auto fetched =
-        stream::ParallelFetchAll(ex, broker, kDigestTopic, 1024, Duration::Micros(1));
+    const auto fetched = stream::ParallelFetchAll(ex, broker, kDigestTopic, 1024);
     for (std::size_t p = 0; p < fetched.size(); ++p) {
       for (const auto& sr : fetched[p]) {
         w.WriteU64(Fnv1a(sr.record.key));

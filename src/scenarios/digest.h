@@ -24,10 +24,9 @@
 
 namespace arbd::scenarios {
 
-// AR-platform path: seeded event streams → parallel ProcessPending
-// (pipelined stages) → interpretation → frame composition (parallel
-// classify), plus independent per-tourist tour simulations fanned out as
-// executor tasks and merged in tourist order.
+// AR-platform path: seeded event streams → ProcessPending →
+// interpretation → frame composition, plus independent per-tourist tour
+// simulations fanned out as executor tasks and merged in tourist order.
 std::uint64_t TourismDigest(std::uint64_t seed, const RuntimeConfig& rc);
 
 // Broker path: seeded keyed batches through ParallelProduce against a

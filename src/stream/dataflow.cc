@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "exec/executor.h"
-
 namespace arbd::stream {
 
 Bytes Event::Encode() const {
@@ -428,157 +426,6 @@ void Pipeline::EmitResult(WindowResult result) {
     e.event_time = result.window_end;
     RunFrom(cursor_ + 1, e);
   }
-}
-
-// One element of the in-band batch stream. Watermark markers travel with
-// the data so every stage observes events and watermark advances in
-// exactly the interleave the synchronous pump produced; results pass
-// through untouched (they are delivered — and counted — at the terminal
-// task so sink order and results_out_ match the serial path).
-struct Pipeline::ParItem {
-  enum class Kind { kEvent, kResult, kWatermark };
-  Kind kind;
-  Event event;
-  WindowResult result;
-  TimePoint wm;
-
-  static ParItem OfEvent(Event e) {
-    ParItem it;
-    it.kind = Kind::kEvent;
-    it.event = std::move(e);
-    return it;
-  }
-  static ParItem OfResult(WindowResult r) {
-    ParItem it;
-    it.kind = Kind::kResult;
-    it.result = std::move(r);
-    return it;
-  }
-  static ParItem OfWatermark(TimePoint wm) {
-    ParItem it;
-    it.kind = Kind::kWatermark;
-    it.wm = wm;
-    return it;
-  }
-};
-
-// Collecting context for one stage task: Emit/EmitResult append to the
-// next stage's item list instead of recursing downstream.
-class Pipeline::BatchCtx final : public StageContext {
- public:
-  BatchCtx(std::size_t stage, std::size_t total_stages, bool has_event_sinks,
-           std::vector<ParItem>* out)
-      : stage_(stage), total_stages_(total_stages),
-        has_event_sinks_(has_event_sinks), out_(out) {}
-
-  void Emit(Event event) override { out_->push_back(ParItem::OfEvent(std::move(event))); }
-
-  void EmitResult(WindowResult result) override {
-    // Mirror the synchronous EmitResult: the result reaches the sinks
-    // first (in-band, ahead of anything the derived event produces), then
-    // the result continues downstream as an event if anything consumes it.
-    const bool forward = stage_ + 1 < total_stages_ || has_event_sinks_;
-    Event derived;
-    if (forward) {
-      derived.key = result.key;
-      derived.attribute = result.attribute;
-      derived.value = result.value;
-      derived.event_time = result.window_end;
-    }
-    out_->push_back(ParItem::OfResult(std::move(result)));
-    if (forward) out_->push_back(ParItem::OfEvent(std::move(derived)));
-  }
-
- private:
-  std::size_t stage_;
-  std::size_t total_stages_;
-  bool has_event_sinks_;
-  std::vector<ParItem>* out_;
-};
-
-std::vector<Pipeline::ParItem> Pipeline::PlanBatch(const std::vector<Event>& batch) {
-  // Source bookkeeping runs on the driver, event-for-event as Push would:
-  // watermark positions are fixed here, so the item sequence every stage
-  // receives is independent of scheduling.
-  std::vector<ParItem> items;
-  items.reserve(batch.size() * 2);
-  for (const Event& e : batch) {
-    ++events_in_;
-    max_event_time_ = std::max(max_event_time_, e.event_time);
-    items.push_back(ParItem::OfEvent(e));
-    const TimePoint wm = max_event_time_ - max_ooo_;
-    if (wm > watermark_) {
-      watermark_ = wm;
-      items.push_back(ParItem::OfWatermark(wm));
-    }
-  }
-  return items;
-}
-
-void Pipeline::RunStageOnItems(std::size_t stage, std::vector<ParItem>& items,
-                               std::vector<ParItem>& next) {
-  BatchCtx ctx(stage, stages_.size(), !event_sinks_.empty(), &next);
-  for (ParItem& it : items) {
-    switch (it.kind) {
-      case ParItem::Kind::kEvent:
-        // Same traced-context handoff as RunFrom: chain the child
-        // context into the event the stage sees, so serial and batch
-        // executions record identical span trees.
-        if (tracer_ != nullptr && tracer_->enabled() && it.event.trace_ctx.valid()) {
-          it.event.trace_ctx = TraceStage(stage, it.event);
-        }
-        stages_[stage]->Process(it.event, ctx);
-        break;
-      case ParItem::Kind::kResult:
-        next.push_back(std::move(it));
-        break;
-      case ParItem::Kind::kWatermark:
-        stages_[stage]->OnWatermark(it.wm, ctx);
-        next.push_back(std::move(it));
-        break;
-    }
-  }
-}
-
-void Pipeline::DeliverTerminal(const std::vector<ParItem>& items) {
-  // Terminal delivery: results and surviving events reach sinks in order.
-  for (const ParItem& it : items) {
-    switch (it.kind) {
-      case ParItem::Kind::kEvent:
-        for (const auto& sink : event_sinks_) sink(it.event);
-        break;
-      case ParItem::Kind::kResult:
-        ++results_out_;
-        for (const auto& sink : sinks_) sink(it.result);
-        break;
-      case ParItem::Kind::kWatermark:
-        break;
-    }
-  }
-}
-
-void Pipeline::ProcessBatchParallel(exec::Executor& exec,
-                                    const std::vector<Event>& batch,
-                                    std::uint64_t shard_base) {
-  auto items = std::make_shared<std::vector<ParItem>>(PlanBatch(batch));
-  if (items->empty()) return;
-  SubmitStage(exec, 0, shard_base, std::move(items));
-}
-
-void Pipeline::SubmitStage(exec::Executor& exec, std::size_t stage,
-                           std::uint64_t shard_base,
-                           std::shared_ptr<std::vector<ParItem>> items) {
-  exec.Submit(shard_base + stage, [this, &exec, stage, shard_base,
-                                   items = std::move(items)] {
-    if (stage >= stages_.size()) {
-      DeliverTerminal(*items);
-      return;
-    }
-    auto out = std::make_shared<std::vector<ParItem>>();
-    out->reserve(items->size());
-    RunStageOnItems(stage, *items, *out);
-    if (!out->empty()) SubmitStage(exec, stage + 1, shard_base, std::move(out));
-  });
 }
 
 void Pipeline::PropagateWatermark(TimePoint wm) {

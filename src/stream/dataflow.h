@@ -20,10 +20,6 @@
 #include "common/status.h"
 #include "trace/tracer.h"
 
-namespace arbd::exec {
-class Executor;
-}
-
 namespace arbd::stream {
 
 // The typed event the dataflow layer works on. Scenario code serializes
@@ -188,24 +184,6 @@ class Pipeline final : public StageContext {
   // Force all remaining windows closed (end of stream).
   void Flush();
 
-  // Run a whole batch with each stage as an executor task: the driver
-  // assigns watermark positions up front (replicating Push's bookkeeping
-  // event-for-event), then stage s's task processes the full in-band item
-  // sequence — events, pass-through results, watermark markers — and
-  // submits stage s+1's task on the next shard. Because every stage sees
-  // the identical ordered sequence the synchronous pump would have fed it,
-  // sink calls, counters, and checkpoint bytes come out bit-identical to
-  // calling Push(batch[i]) in order, at any worker count. Stages of this
-  // pipeline occupy shards [shard_base, shard_base + stage_count()], so
-  // distinct pipelines sharing an executor need shard_base strides of at
-  // least stage_count()+1. The caller must exec.Drain() before touching
-  // the pipeline again; the bounded inbox (Offer/DrainPending) is
-  // bypassed — here admission is the caller's fetch credit.
-  void ProcessBatchParallel(exec::Executor& exec, const std::vector<Event>& batch,
-                            std::uint64_t shard_base = 0);
-
-  std::size_t stage_count() const { return stages_.size(); }
-
   // Bounded stage hand-off: with an input budget set (0 disables), Offer
   // enqueues into a bounded inbox instead of processing inline, returning
   // kResourceExhausted when the inbox is full. The feeding loop reads
@@ -225,9 +203,7 @@ class Pipeline final : public StageContext {
   // Optional tracing hook (not owned). When set and enabled, every stage
   // invocation on an event with a valid context records a
   // "pipeline.s<i>.<kind>" span and chains the child context into the
-  // stage's emitted events — identically on the serial Push path and the
-  // ProcessBatchParallel task chain, so traced span trees stay
-  // bit-identical at any worker count.
+  // stage's emitted events.
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
   TimePoint watermark() const { return watermark_; }
@@ -253,21 +229,6 @@ class Pipeline final : public StageContext {
   void PropagateWatermark(TimePoint wm);
 
   struct FnStage;
-  struct ParItem;
-  class BatchCtx;
-  void SubmitStage(exec::Executor& exec, std::size_t stage, std::uint64_t shard_base,
-                   std::shared_ptr<std::vector<ParItem>> items);
-  // Per-stage item pump: runs stage `stage` over the ordered item
-  // sequence, appending its outputs to `next`.
-  void RunStageOnItems(std::size_t stage, std::vector<ParItem>& items,
-                       std::vector<ParItem>& next);
-  // Terminal delivery: hand the final item sequence to sinks, in order.
-  void DeliverTerminal(const std::vector<ParItem>& items);
-  // Driver-side bookkeeping for ProcessBatchParallel: replicates Push's
-  // watermark arithmetic event-for-event and returns the in-band item
-  // sequence (events + watermark markers) stage 0 should see.
-  std::vector<ParItem> PlanBatch(const std::vector<Event>& batch);
-
   // Span name for stage `index`, recorded on traced events; returns the
   // updated event context. No-op passthrough when tracing is off.
   trace::SpanContext TraceStage(std::size_t index, const Event& event) const;

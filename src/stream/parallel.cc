@@ -6,8 +6,7 @@ namespace arbd::stream {
 
 ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
                                       const std::string& topic,
-                                      std::vector<Record> records,
-                                      Duration cost_per_record) {
+                                      std::vector<Record> records) {
   auto t = broker.GetTopic(topic);
   if (!t.ok()) {
     ParallelProduceReport report;
@@ -15,7 +14,7 @@ ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
     return report;
   }
   Topic* topic_ptr = *t;
-  return ParallelProduce(exec, broker, topic, std::move(records), cost_per_record,
+  return ParallelProduce(exec, broker, topic, std::move(records),
                          [topic_ptr](const Record& r) {
                            return topic_ptr->PartitionFor(r.key);
                          });
@@ -24,7 +23,6 @@ ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
 ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
                                       const std::string& topic,
                                       std::vector<Record> records,
-                                      Duration cost_per_record,
                                       const PartitionAssigner& assign) {
   ParallelProduceReport report;
   auto t = broker.GetTopic(topic);
@@ -55,9 +53,7 @@ ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
   std::vector<std::size_t> unavailable(nparts, 0);
   for (std::size_t p = 0; p < nparts; ++p) {
     if (buckets[p].empty()) continue;
-    const Duration cost = cost_per_record * static_cast<double>(buckets[p].size());
-    exec.SubmitCost(p, cost,
-                    [&broker, &topic, &buckets, &produced, &rejected, &unavailable, p] {
+    exec.Submit(p, [&broker, &topic, &buckets, &produced, &rejected, &unavailable, p] {
       for (auto& r : buckets[p]) {
         auto off = broker.ProduceToPartition(topic, static_cast<PartitionId>(p),
                                              std::move(r));
@@ -85,20 +81,17 @@ ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
 std::vector<std::vector<StoredRecord>> ParallelFetchAll(exec::Executor& exec,
                                                         Broker& broker,
                                                         const std::string& topic,
-                                                        std::size_t max_per_partition,
-                                                        Duration cost_per_record) {
+                                                        std::size_t max_per_partition) {
   auto t = broker.GetTopic(topic);
   if (!t.ok()) return {};
   const std::size_t nparts = (*t)->partition_count();
   std::vector<std::vector<StoredRecord>> out(nparts);
   for (std::size_t p = 0; p < nparts; ++p) {
-    exec.Submit(p, [&broker, &exec, &topic, &out, max_per_partition, cost_per_record, p,
-                    t = *t] {
+    exec.Submit(p, [&broker, &topic, &out, max_per_partition, p, t = *t] {
       const Offset from = t->partition(static_cast<PartitionId>(p)).log_start_offset();
       auto fetched = broker.Fetch(topic, static_cast<PartitionId>(p), from,
                                   max_per_partition);
       if (fetched.ok()) out[p] = std::move(*fetched);
-      exec.AddVirtualCost(cost_per_record * static_cast<double>(out[p].size()));
     });
   }
   exec.Drain();

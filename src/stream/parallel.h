@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "exec/executor.h"
 #include "stream/log.h"
 
@@ -35,13 +34,9 @@ struct ParallelProduceReport {
 };
 
 // Appends `records` to `topic` using one executor task per partition.
-// `cost_per_record` is the modeled per-append cost billed to the executing
-// worker's virtual clock (Executor::SubmitCost), which is what E20 meters
-// scaling with.
 ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
                                       const std::string& topic,
-                                      std::vector<Record> records,
-                                      Duration cost_per_record);
+                                      std::vector<Record> records);
 
 // Record→partition assignment hook. Runs serially on the driver in record
 // order, so any stateful assigner (round-robin counters, split routers)
@@ -55,7 +50,6 @@ using PartitionAssigner = std::function<PartitionId(const Record&)>;
 ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
                                       const std::string& topic,
                                       std::vector<Record> records,
-                                      Duration cost_per_record,
                                       const PartitionAssigner& assign);
 
 // Fetches every partition's full retained log concurrently (up to
@@ -65,7 +59,6 @@ ParallelProduceReport ParallelProduce(exec::Executor& exec, Broker& broker,
 std::vector<std::vector<StoredRecord>> ParallelFetchAll(exec::Executor& exec,
                                                         Broker& broker,
                                                         const std::string& topic,
-                                                        std::size_t max_per_partition,
-                                                        Duration cost_per_record);
+                                                        std::size_t max_per_partition);
 
 }  // namespace arbd::stream

@@ -11,7 +11,7 @@
 //     context names; a downstream span starts at its parent's cursor and
 //     ends cursor + modeled cost. Contexts piggyback on stream::Record
 //     headers through Broker produce/fetch and on stream::Event through
-//     Pipeline stages (including ProcessBatchParallel task chains).
+//     Pipeline stages.
 //   - Span ids are seeded hashes of (trace, parent, name, start, salt),
 //     never allocation order or thread ids, so ids are identical at every
 //     worker count.

@@ -1,12 +1,11 @@
 // Determinism of the columnar batch path. Reads have one code path
 // (Partition::FetchBatch -> Broker::FetchBatch -> Consumer::PollBatches)
 // in two forms: the columns themselves, and rows materialized from them
-// by Fetch/Poll. Platform ingest polls batches and drains them in two
-// forms: Offer/DrainPending at one worker, ProcessBatchParallel above.
-// Every determinism-sensitive observable — consumed rows, committed-log
-// digests, broker counters, scenario digests, failover audits — must be
-// the same whichever form carries it, across five seeds and replication
-// factors {1, 3}.
+// by Fetch/Poll. Platform ingest polls batches and drains them through
+// Offer/DrainPending. Every determinism-sensitive observable — consumed
+// rows, committed-log digests, broker counters, scenario digests,
+// failover audits — must be the same whichever form carries it, across
+// five seeds and replication factors {1, 3}.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -83,8 +82,7 @@ std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers, Read
     // discipline as OverloadDigest).
     const std::size_t credit = broker.Credit("batch.diff");
     if (recs.size() > credit) recs.resize(credit);
-    const auto rep = stream::ParallelProduce(ex, broker, "batch.diff", std::move(recs),
-                                             Duration::Micros(2));
+    const auto rep = stream::ParallelProduce(ex, broker, "batch.diff", std::move(recs));
     w.WriteU64(rep.produced);
     w.WriteU64(rep.rejected);
     for (const std::size_t c : rep.per_partition) w.WriteU64(c);
@@ -92,8 +90,7 @@ std::uint64_t BrokerWorkloadDigest(std::uint64_t seed, std::size_t workers, Read
     // Next offset to keep per partition; -1 = nothing consumed.
     std::vector<stream::Offset> consumed_to(tc.partitions, -1);
     if (form == ReadForm::kRows) {
-      const auto fetched =
-          stream::ParallelFetchAll(ex, broker, "batch.diff", 512, Duration::Micros(1));
+      const auto fetched = stream::ParallelFetchAll(ex, broker, "batch.diff", 512);
       EXPECT_EQ(fetched.size(), tc.partitions);
       for (std::size_t p = 0; p < fetched.size(); ++p) {
         for (const auto& sr : fetched[p]) {

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/rng.h"
 #include "core/platform.h"
 #include "core/session.h"
 
@@ -255,6 +256,112 @@ TEST(PlatformFrameBudget, ProcessPendingPollStopsWhenBudgetIsSpent) {
   EXPECT_EQ(platform.ProcessPending(), 2u);
   EXPECT_EQ(platform.ProcessPending(), 1u);
   EXPECT_EQ(platform.ProcessPending(), 0u);
+}
+
+// The ladder's first rung skips the occlusion raycasts and nothing else:
+// annotations still project through the city's frame, so the same pose
+// sees the same annotations, none of them occluded.
+TEST(Platform, DegradedRungKeepsTheCityProjection) {
+  SimClock clock;
+  const geo::CityModel city = geo::CityModel::Generate(geo::CityConfig{}, 51);
+  PlatformConfig cfg;
+  cfg.qos.enabled = true;
+  Platform platform(cfg, city, clock);
+  for (const geo::Poi* poi : city.pois().All()) {
+    ar::content::Annotation a;
+    a.anchor.geo_pos = poi->pos;
+    a.ttl = Duration::Seconds(3600);
+    platform.AddAnnotation(a);
+  }
+  platform.AddUser("u");  // at the city's origin, looking north
+
+  const auto full = platform.ComposeFrame("u");
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->degradation_level, 0);
+  ASSERT_GT(full->in_view, 0u);
+  ASSERT_GT(full->occluded, 0u) << "the pose must have raycasts for the rung to skip";
+
+  for (int i = 0; i < cfg.qos.ladder.violations_to_step_down; ++i) {
+    platform.ObserveFrameLatency(cfg.qos.ladder.slo * 2.0);
+  }
+  const auto degraded = platform.ComposeFrame("u");
+  ASSERT_TRUE(degraded.ok());
+  ASSERT_GE(degraded->degradation_level, 1);
+  EXPECT_EQ(degraded->in_view, full->in_view);
+  EXPECT_EQ(degraded->occluded, 0u);
+}
+
+// What one seeded Publish/ProcessPending/ComposeFrame workload leaves
+// behind, and how many executor tasks it ran.
+struct SeededRun {
+  std::vector<Bytes> checkpoints;  // one per aggregation job
+  std::uint64_t results_interpreted = 0;
+  std::vector<std::size_t> frame_counters;
+  std::uint64_t tasks_run = 0;
+};
+
+SeededRun DriveSeededWorkload(std::size_t workers) {
+  SimClock clock;
+  const geo::CityModel city = geo::CityModel::Generate(geo::CityConfig{}, 51);
+  PlatformConfig cfg;
+  cfg.exec.workers = workers;
+  Platform platform(cfg, city, clock);
+  const std::vector<std::string> attributes = {"visits", "dwell"};
+  for (const std::string& attr : attributes) {
+    AggregationSpec spec;
+    spec.attribute = attr;
+    spec.window = stream::WindowSpec::Tumbling(Duration::Millis(500));
+    platform.AddAggregation(spec);
+    InterpretationRule rule;
+    rule.attribute = attr;
+    rule.ttl = Duration::Seconds(3600);
+    platform.AddRule(rule);
+  }
+  platform.AddUser("u");
+
+  SeededRun run;
+  const auto& pois = city.pois().All();
+  Rng rng(2024);
+  std::int64_t ms = 0;
+  const std::uint64_t tasks_before = platform.executor().tasks_run();
+  for (int tick = 0; tick < 20; ++tick) {
+    for (int i = 0; i < 60; ++i) {
+      ms += static_cast<std::int64_t>(rng.NextBelow(30));
+      const geo::Poi* poi = pois[rng.NextBelow(pois.size())];
+      EXPECT_TRUE(platform
+                      .Publish(Ev(poi->name, attributes[rng.NextBelow(2)],
+                                  rng.Uniform(0.0, 10.0), ms))
+                      .ok());
+    }
+    clock.Advance(Duration::Millis(100));
+    platform.ProcessPending();
+    const auto frame = platform.ComposeFrame("u");
+    EXPECT_TRUE(frame.ok());
+    if (!frame.ok()) continue;
+    run.frame_counters.insert(run.frame_counters.end(),
+                              {frame->live_annotations, frame->expired, frame->in_view,
+                               frame->occluded, frame->layout.placed,
+                               frame->layout.dropped});
+  }
+  run.tasks_run = platform.executor().tasks_run() - tasks_before;
+  for (std::size_t j = 0; j < platform.job_count(); ++j) {
+    run.checkpoints.push_back(platform.job_pipeline(j).Checkpoint());
+  }
+  run.results_interpreted = platform.results_interpreted();
+  return run;
+}
+
+// Ingest and compose take one path at every worker count: the same
+// pipeline state, interpretations and frames, and no executor task.
+TEST(Platform, OnePathAtEveryWorkerCount) {
+  const SeededRun one = DriveSeededWorkload(1);
+  const SeededRun four = DriveSeededWorkload(4);
+  ASSERT_EQ(one.checkpoints.size(), 2u);
+  EXPECT_EQ(four.checkpoints, one.checkpoints);
+  EXPECT_GT(one.results_interpreted, 0u);
+  EXPECT_EQ(four.results_interpreted, one.results_interpreted);
+  EXPECT_EQ(four.frame_counters, one.frame_counters);
+  EXPECT_EQ(four.tasks_run, 0u);
 }
 
 class ContextFixture : public ::testing::Test {

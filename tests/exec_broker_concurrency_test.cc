@@ -225,9 +225,7 @@ TEST(BrokerConcurrency, ParallelProduceMatchesSerialLoopAtEveryWorkerCount) {
     exec::ExecConfig ec;
     ec.workers = workers;
     exec::Executor ex(ec);
-    const auto rep = stream::ParallelProduce(ex, broker, "conc.par",
-                                             SeededBatch(kRecords),
-                                             Duration::Micros(1));
+    const auto rep = stream::ParallelProduce(ex, broker, "conc.par", SeededBatch(kRecords));
     EXPECT_EQ(rep.produced, kRecords);
     EXPECT_EQ(OutcomeDigest(rep, broker, "conc.par", kRecords), serial_digest)
         << "workers=" << workers;

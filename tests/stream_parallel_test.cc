@@ -69,12 +69,11 @@ TEST(StreamParallel, ProduceAndFetchIdenticalAcrossWorkersAndModes) {
       tc.partitions = 4;
       tc.segment_bytes = segment_bytes;
       ASSERT_TRUE(broker.CreateTopic("par.t", tc).ok());
-      const auto rep = ParallelProduce(ex, broker, "par.t",
-                                       SeededRecords(3, 120, clock), Duration::Micros(2));
+      const auto rep = ParallelProduce(ex, broker, "par.t", SeededRecords(3, 120, clock));
       EXPECT_EQ(rep.produced, 120u);
       EXPECT_EQ(rep.rejected, 0u);
       const std::uint64_t digest =
-          FetchDigest(ParallelFetchAll(ex, broker, "par.t", 1024, Duration::Micros(1)));
+          FetchDigest(ParallelFetchAll(ex, broker, "par.t", 1024));
       if (first) {
         reference = digest;
         first = false;
@@ -101,8 +100,7 @@ TEST(StreamParallel, ProduceBudgetAccountingMatchesAcrossModes) {
     tc.max_records = 48;
     tc.replication_factor = factor;
     ASSERT_TRUE(broker.CreateTopic("par.budget", tc).ok());
-    const auto rep = ParallelProduce(ex, broker, "par.budget",
-                                     SeededRecords(5, 80, clock), Duration::Micros(2));
+    const auto rep = ParallelProduce(ex, broker, "par.budget", SeededRecords(5, 80, clock));
     EXPECT_EQ(rep.produced, 48u) << "factor=" << factor;
     EXPECT_EQ(rep.rejected, 32u) << "factor=" << factor;
     EXPECT_EQ(rep.unavailable, 0u) << "factor=" << factor;

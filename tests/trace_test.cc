@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "common/rng.h"
 
 #include "trace/breakdown.h"
 #include "trace/export.h"
@@ -89,6 +92,42 @@ TEST(Tracer, ClearResetsCounters) {
   t.Clear();
   EXPECT_EQ(t.recorded(), 0u);
   EXPECT_TRUE(t.Drain().empty());
+}
+
+// Records chain `c`: kChainSpans spans, each the child of the last, with
+// seeded costs and tags.
+constexpr std::size_t kChainSpans = 500;
+
+void RecordChain(Tracer& t, std::uint64_t c) {
+  Rng rng(100 + c);
+  SpanContext ctx = t.RootContext(t.StartTrace(c), TimePoint::FromNanos(1000 * c));
+  for (std::size_t i = 0; i < kChainSpans; ++i) {
+    ctx = t.Record(i % 2 == 0 ? "even" : "odd", ctx,
+                   Duration::Nanos(1 + static_cast<std::int64_t>(rng.NextBelow(100))),
+                   {{"chain", std::to_string(c)}}, i);
+  }
+}
+
+// Four threads outside any executor record into one tracer at once; the
+// shards' locking must keep every span, and Drain's canonical order must
+// give the span tree one thread recording the same chains gives.
+TEST(Tracer, ConcurrentRecordFromRawThreads) {
+  constexpr std::uint64_t kChains = 4;
+  Tracer serial(Enabled(/*ring=*/kChains * kChainSpans));
+  for (std::uint64_t c = 0; c < kChains; ++c) RecordChain(serial, c);
+
+  Tracer concurrent(Enabled(/*ring=*/kChains * kChainSpans));
+  std::vector<std::thread> threads;
+  for (std::uint64_t c = 0; c < kChains; ++c) {
+    threads.emplace_back([&concurrent, c] { RecordChain(concurrent, c); });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(concurrent.recorded(), kChains * kChainSpans);
+  EXPECT_EQ(concurrent.dropped(), 0u);
+  const auto spans = concurrent.Drain();
+  EXPECT_EQ(spans.size(), kChains * kChainSpans);
+  EXPECT_EQ(SpanTreeDigest(spans), SpanTreeDigest(serial.Drain()));
 }
 
 TEST(SpanTreeDigestTest, EqualSetsEqualDigests) {
