@@ -26,15 +26,15 @@
 //         (acked/offered) must be monotone non-decreasing in broker
 //         count, and 8 brokers must beat 1 outright.
 //
-//   E24d: modeled throughput scaling — ModeledProduceMakespan of a
-//         uniform produce load over 16 partitions at broker counts
-//         {1,2,4,8}: modeled speedup (makespan_1 / makespan_B) must stay
-//         near-linear (>= 0.8 * B) out to 8 brokers.
+//   E24d: leader balance — the current leader broker of each of 16
+//         partitions (RF 3) at broker counts {1,2,4,8}: no broker may
+//         lead more than floor(1.25 * 16 / B) partitions.
 //
 // `--quick` runs reduced schedule counts with the same checks and no
 // google-benchmark timings — the CI cluster smoke. Exit code = failures.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -263,10 +263,10 @@ int RunExperiment(bool quick) {
   checks.Check(avail.back() > avail.front(),
                "more brokers buy real availability (8 brokers > 1)");
 
-  // --- E24d: modeled throughput scaling --------------------------------
-  const std::size_t model_records = 64'000;
-  std::vector<double> makespans_ms;
-  bench::Table dtable({"brokers", "makespan_ms", "speedup"});
+  // --- E24d: leader balance ----------------------------------------------
+  const std::uint32_t model_partitions = 16;
+  bench::Table dtable({"brokers", "leaders per broker", "max", "bound"});
+  bool balanced = true;
   for (const std::uint32_t brokers : broker_counts) {
     SimClock clock;
     stream::Broker broker(clock);
@@ -274,26 +274,35 @@ int RunExperiment(bool quick) {
     cc.brokers = brokers;
     cluster::BrokerCluster cl(broker, cc);
     stream::TopicConfig tc;
-    tc.partitions = 16;
+    tc.partitions = model_partitions;
     tc.replication_factor = 3;
     if (auto s = cl.CreateTopic("e24.model", tc); !s.ok()) {
       std::printf("CreateTopic failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    const Duration makespan =
-        cl.ModeledProduceMakespan("e24.model", model_records, Duration::Micros(5));
-    makespans_ms.push_back(makespan.seconds() * 1e3);
-    dtable.Row({bench::FmtInt(brokers), bench::Fmt("%.2f", makespans_ms.back()),
-                bench::Fmt("%.2fx", makespans_ms.front() / makespans_ms.back())});
+    std::vector<std::size_t> leaders(brokers, 0);
+    for (stream::PartitionId p = 0; p < model_partitions; ++p) {
+      auto leader = cl.LeaderBroker("e24.model", p);
+      if (!leader.ok()) {
+        std::printf("LeaderBroker failed: %s\n", leader.status().ToString().c_str());
+        return 1;
+      }
+      ++leaders[*leader];
+    }
+    std::string per_broker;
+    for (const std::size_t n : leaders) {
+      per_broker += (per_broker.empty() ? "" : " ") + std::to_string(n);
+    }
+    const std::size_t worst = *std::max_element(leaders.begin(), leaders.end());
+    const std::size_t bound = 5 * model_partitions / (4 * brokers);  // floor(1.25 * 16 / B)
+    balanced = balanced && worst <= bound;
+    dtable.Row({bench::FmtInt(brokers), per_broker, bench::FmtInt(worst),
+                bench::FmtInt(bound)});
   }
-  dtable.Print("E24d modeled produce makespan vs broker count (16 partitions)");
-  bool near_linear = true;
-  for (std::size_t i = 0; i < broker_counts.size(); ++i) {
-    const double speedup = makespans_ms.front() / makespans_ms[i];
-    near_linear = near_linear && speedup >= 0.8 * broker_counts[i];
-  }
-  checks.Check(near_linear,
-               "modeled speedup >= 0.8x linear out to 8 brokers (leader balancing)");
+  dtable.Print("E24d partition leaders per broker (16 partitions, RF 3)");
+  checks.Check(balanced,
+               "max leaders on any broker <= floor(1.25 * 16 / B) out to 8 brokers "
+               "(leader balancing)");
 
   std::printf("\nE24 verdict: %s (%d failing check%s)\n",
               checks.failures == 0 ? "PASS" : "FAIL", checks.failures,

@@ -116,7 +116,7 @@ TraceRun RunTracedWorkload(std::uint64_t seed, std::size_t workers,
     e.event_time = TimePoint::FromMillis(static_cast<std::int64_t>(i) * 5);
     trace::SpanContext ctx =
         tracer.RootContext(tracer.StartTrace(i), e.event_time);
-    (void)platform.PublishTraced(e, qos::PriorityClass::kBackground, ctx);
+    (void)platform.PublishTraced(e, ctx);
     if (i % 256 == 255) {
       clock.Advance(Duration::Millis(100));
       platform.ProcessPending();

@@ -14,7 +14,7 @@ constexpr std::size_t kBlockRows = 256;
 ClassifyCounts OcclusionClassifier::ClassifyRows(
     const content::AnchorTable& anchors,
     std::span<const content::Annotation* const> annotations, std::size_t lo, std::size_t hi,
-    const CameraView& view, bool raycast, std::vector<ClassifiedAnnotation>& out) const {
+    const CameraView& view, std::vector<ClassifiedAnnotation>& out) const {
   // Without a city model, lat/lon are treated as pre-projected metres
   // around the camera origin frame (tests use this path).
   const geo::EnuFrame frame =
@@ -53,7 +53,7 @@ ClassifyCounts OcclusionClassifier::ClassifyRows(
       c.screen = ScreenPoint{p.x, p.y, p.Depth()};
       c.distance_m = c.screen.depth_m;
       const bool occluded =
-          raycast && city_ != nullptr &&
+          city_ != nullptr &&
           city_->IsOccluded(eye.east, eye.north, eye.up, enu.east, enu.north, height[i],
                             anchors.building_id[i]);
       c.visibility = occluded ? Visibility::kOccluded : Visibility::kVisible;
@@ -82,7 +82,7 @@ std::vector<ClassifiedAnnotation> OcclusionClassifier::ClassifyAll(
     rows.Resize(0);
     for (const auto* a : block) rows.Append(a->anchor);
     in_view.clear();
-    ClassifyRows(rows, block, 0, block.size(), view, /*raycast=*/true, in_view);
+    ClassifyRows(rows, block, 0, block.size(), view, in_view);
     std::size_t next = 0;
     for (std::size_t j = 0; j < block.size(); ++j) {
       if (next < in_view.size() && in_view[next].annotation == block[j]) {

@@ -43,14 +43,13 @@ class OcclusionClassifier {
   // and Live() align). Appends to `out`, in row order, only the rows that
   // are not kOutOfView. The in-view mask is computed for every row without
   // branches, through CameraView::ToCamera; the screen point, depth and
-  // occlusion raycast run only on the rows that pass it. With `raycast`
-  // false no raycast runs and nothing is occluded. Pure and const:
+  // occlusion raycast run only on the rows that pass it. Pure and const:
   // disjoint row ranges may be classified concurrently and their outputs
   // concatenated.
   ClassifyCounts ClassifyRows(const content::AnchorTable& anchors,
                               std::span<const content::Annotation* const> annotations,
                               std::size_t lo, std::size_t hi, const CameraView& view,
-                              bool raycast, std::vector<ClassifiedAnnotation>& out) const;
+                              std::vector<ClassifiedAnnotation>& out) const;
 
   // One entry per annotation, in input order (kOutOfView included): the
   // kernel over rows gathered from the annotations.

@@ -74,22 +74,6 @@ Status BrokerCluster::AdmitLocked(const std::string& topic,
   return Status::Ok();
 }
 
-Status BrokerCluster::AdmitProduce(const std::string& topic,
-                                   stream::PartitionId partition) {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  Status s = AdmitLocked(topic, partition);
-  if (!s.ok()) produce_denied_.fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
-Status BrokerCluster::AdmitFetch(const std::string& topic,
-                                 stream::PartitionId partition) {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  Status s = AdmitLocked(topic, partition);
-  if (!s.ok()) fetch_denied_.fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
 const BrokerCluster::Node* BrokerCluster::LeaderNodeLocked(
     const std::string& topic, stream::PartitionId partition, BrokerId* broker) const {
   auto it = placements_.find(topic);
@@ -844,15 +828,6 @@ bool BrokerCluster::BrokerUp(BrokerId broker) const {
   return broker < cfg_.brokers && nodes_[broker].up;
 }
 
-std::vector<BrokerId> BrokerCluster::DownBrokers() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  std::vector<BrokerId> out;
-  for (BrokerId b = 0; b < cfg_.brokers; ++b) {
-    if (!nodes_[b].up) out.push_back(b);
-  }
-  return out;
-}
-
 std::vector<BrokerId> BrokerCluster::MinoritySide() const {
   std::shared_lock<std::shared_mutex> lk(mu_);
   std::vector<BrokerId> out;
@@ -894,27 +869,6 @@ ClusterStats BrokerCluster::stats() const {
   out.fetch_denied = fetch_denied_.load(std::memory_order_relaxed);
   out.lossy_drops = lossy_drops_.load(std::memory_order_relaxed);
   return out;
-}
-
-Duration BrokerCluster::ModeledProduceMakespan(const std::string& topic,
-                                               std::size_t records,
-                                               Duration cost_per_record) const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  auto it = placements_.find(topic);
-  if (it == placements_.end()) return Duration::Zero();
-  auto t = broker_.GetTopic(topic);
-  if (!t.ok()) return Duration::Zero();
-  const TopicPlacement& pl = it->second;
-  const std::uint32_t parts = pl.partition_count();
-  std::vector<std::size_t> busy(cfg_.brokers, 0);
-  for (stream::PartitionId p = 0; p < parts; ++p) {
-    const std::size_t count = records / parts + (p < records % parts ? 1 : 0);
-    const stream::NodeId slot = (*t)->replication(p).leader();
-    if (slot == stream::kNoLeader) continue;
-    busy[pl.broker_of(p, slot)] += count;
-  }
-  const std::size_t worst = *std::max_element(busy.begin(), busy.end());
-  return cost_per_record * static_cast<double>(worst);
 }
 
 ClusterProducer::ClusterProducer(BrokerCluster& cluster, stream::Broker& broker,
@@ -1066,7 +1020,7 @@ Expected<T> ClusterQuery::WithRetry(stream::PartitionId p,
     total_backoff_ = total_backoff_ + back;
     // Same contract as ClusterProducer: backoff is modeled time, so tick
     // the cluster — the kill window drains and a new leader is elected,
-    // after which AdmitFetch stops rejecting the read.
+    // after which AdmitFetchRequest stops rejecting the read.
     cluster_.Tick();
   }
   ++exhausted_;

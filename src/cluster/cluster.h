@@ -169,7 +169,6 @@ class BrokerCluster : public stream::ClusterGate {
   void set_fault_injector(fault::FaultInjector* injector) { fault_ = injector; }
 
   bool BrokerUp(BrokerId broker) const;
-  std::vector<BrokerId> DownBrokers() const;
   std::vector<BrokerId> MinoritySide() const;
   std::uint32_t brokers() const { return cfg_.brokers; }
   std::uint64_t now_tick() const { return tick_.load(std::memory_order_relaxed); }
@@ -219,21 +218,9 @@ class BrokerCluster : public stream::ClusterGate {
   const MetadataController& controller() const { return controller_; }
   ClusterStats stats() const;
 
-  // Modeled makespan of producing `records` spread uniformly over the
-  // topic's partitions, each record costing `cost_per_record` on its
-  // partition's current leader broker: max over brokers of their summed
-  // service time. The E24 scaling gate divides the 1-broker makespan by
-  // this to get modeled speedup.
-  Duration ModeledProduceMakespan(const std::string& topic, std::size_t records,
-                                  Duration cost_per_record) const;
-
-  // stream::ClusterGate — consulted by the broker before fault draws.
-  Status AdmitProduce(const std::string& topic, stream::PartitionId partition) override;
-  Status AdmitFetch(const std::string& topic, stream::PartitionId partition) override;
-  // Identity-bearing admission: the reachability check above, then — only
-  // while a lossy brownout is armed on the leader broker — the seeded
-  // per-request drop. With no lossy fault armed these are bit-identical
-  // to AdmitProduce/AdmitFetch.
+  // stream::ClusterGate — consulted by the broker before fault draws: the
+  // leader broker's reachability, then — only while a lossy brownout is
+  // armed on it — the seeded per-request drop.
   Status AdmitProduceRequest(const std::string& topic, stream::PartitionId partition,
                              std::uint64_t request_id) override;
   Status AdmitFetchRequest(const std::string& topic, stream::PartitionId partition,
@@ -392,7 +379,7 @@ class ClusterProducer {
 // Cluster-routed historical reads (ISSUE 9 satellite). The broker's query
 // tier is gate-admitted: while a partition's leader broker is down or
 // fenced, Broker::QueryRange/QueryTime/OffsetForTimestamp return the
-// AdmitFetch rejection directly — and before this helper existed, callers
+// AdmitFetchRequest rejection directly — and before this helper existed, callers
 // had no reroute-and-retry, so a killbroker mid-replay failed the whole
 // replay even though the data was one election away. ClusterQuery wraps
 // the three query entry points in the same backoff-and-Tick retry loop

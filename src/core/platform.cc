@@ -21,6 +21,7 @@ Platform::Platform(PlatformConfig cfg, const geo::CityModel& city, SimClock& clo
       classifier_(&city),
       layout_(cfg.layout),
       tracer_(cfg.tracer != nullptr ? cfg.tracer : &trace::Tracer::Global()) {
+  ARBD_CHECK(!cfg_.qos.enabled, "Platform has no QoS path (docs/overload.md)");
   broker_.set_tracer(tracer_);
   // Cluster first, so topic creation can route through placement. Size 1
   // (the default) builds nothing — structurally the pre-cluster platform.
@@ -39,7 +40,6 @@ Platform::Platform(PlatformConfig cfg, const geo::CityModel& city, SimClock& clo
   tc.partitions = cfg_.partitions;
   tc.replication_factor = cfg_.replication_factor;  // 0 defers to the process default
   tc.segment_bytes = cfg_.segment_bytes;
-  if (cfg_.qos.enabled) tc.max_records = cfg_.qos.topic_budget_records;
   const Status s = cluster_ != nullptr ? cluster_->CreateTopic(cfg_.event_topic, tc)
                                        : broker_.CreateTopic(cfg_.event_topic, tc);
   ARBD_CHECK(s.ok(), "event topic creation must succeed");
@@ -49,12 +49,6 @@ Platform::Platform(PlatformConfig cfg, const geo::CityModel& city, SimClock& clo
   // Retries exist wherever a retry can succeed: replicas absorb leader
   // crashes, and a cluster restores killed brokers as retries tick time.
   publish_retries_ = (*created)->replication(0).factor() > 1 || cluster_ != nullptr;
-  if (cfg_.qos.enabled) {
-    broker_.set_metrics(&metrics_);
-    admission_ =
-        std::make_unique<qos::AdmissionController>(cfg_.qos.admission, &metrics_);
-    ladder_ = std::make_unique<qos::DegradationLadder>(cfg_.qos.ladder, &metrics_);
-  }
   group_ = std::make_unique<stream::ConsumerGroup>(broker_, "arbd.platform",
                                                    cfg_.event_topic);
   auto joined = group_->Join("platform-0");
@@ -75,36 +69,18 @@ Platform::Platform(PlatformConfig cfg, const geo::CityModel& city, SimClock& clo
       });
 }
 
-Status Platform::Publish(const stream::Event& event, qos::PriorityClass priority) {
+Status Platform::Publish(const stream::Event& event) {
   trace::SpanContext untraced;
-  return PublishTraced(event, priority, untraced);
+  return PublishTraced(event, untraced);
 }
 
-Status Platform::PublishTraced(const stream::Event& event, qos::PriorityClass priority,
-                               trace::SpanContext& ctx) {
-  const bool traced = tracer_->enabled() && ctx.valid();
-  const std::uint64_t salt =
-      traced ? Fnv1a(event.key) ^ static_cast<std::uint64_t>(event.event_time.nanos()) : 0;
-  if (admission_ != nullptr) {
-    admission_->UpdatePressureAll(broker_.Pressure(cfg_.event_topic));
-    if (!admission_->Admit(priority)) {
-      // Shedding frame-relevant work is an SLO violation in its own right:
-      // better to degrade fidelity than to keep dropping critical events.
-      if (priority == qos::PriorityClass::kFrameCritical && ladder_ != nullptr) {
-        ladder_->ObserveShed();
-      }
-      if (traced) {
-        ctx = tracer_->Record("platform.publish", ctx, kPublishCost,
-                              {{"shed", "1"}}, salt);
-      }
-      return Status::ResourceExhausted(
-          std::string("admission shed (") + qos::PriorityClassName(priority) + ")");
-    }
-  }
+Status Platform::PublishTraced(const stream::Event& event, trace::SpanContext& ctx) {
   stream::Record record =
       stream::Record::Make(event.key, event.Encode(), event.event_time);
-  if (traced) {
-    ctx = tracer_->Record("platform.publish", ctx, kPublishCost, {{"shed", "0"}}, salt);
+  if (tracer_->enabled() && ctx.valid()) {
+    const std::uint64_t salt =
+        Fnv1a(event.key) ^ static_cast<std::uint64_t>(event.event_time.nanos());
+    ctx = tracer_->Record("platform.publish", ctx, kPublishCost, {}, salt);
     record.trace_ctx = ctx;
   }
   // Idempotent publish: the partition is pinned and the (pid, seq) pair
@@ -152,12 +128,11 @@ void Platform::AddAggregation(const AggregationSpec& spec) {
   job.spec = spec;
   job.pipeline = std::make_unique<stream::Pipeline>(cfg_.max_out_of_orderness);
   job.pipeline->set_tracer(tracer_);
-  if (cfg_.qos.enabled) job.pipeline->set_input_budget(cfg_.qos.pipeline_budget_records);
   const std::string attr = spec.attribute;
-  // The sink only buffers: an unbudgeted Offer processes the event at
-  // once, so the jobs' sinks fire interleaved in event order, and
-  // ProcessPending interprets the buffers in job order instead. Index
-  // capture keeps the sink valid across jobs_ reallocation.
+  // The sink only buffers: Push processes the event at once, so the jobs'
+  // sinks fire interleaved in event order, and ProcessPending interprets
+  // the buffers in job order instead. Index capture keeps the sink valid
+  // across jobs_ reallocation.
   const std::size_t job_index = jobs_.size();
   job.pipeline->Filter([attr](const stream::Event& e) { return e.attribute == attr; })
       .WindowAggregate(spec.window, spec.agg, spec.allowed_lateness)
@@ -174,18 +149,6 @@ void Platform::SetEntityResolver(EntityResolver resolver) {
 }
 
 std::size_t Platform::ProcessPending(std::size_t max_records) {
-  if (ladder_ != nullptr) {
-    // Degraded fetch: shrink the batch we pull per call so a struggling
-    // frame loop spends less of its budget on ingestion catch-up.
-    const double scale = ladder_->profile().fetch_batch_scale;
-    max_records = std::max<std::size_t>(
-        1, static_cast<std::size_t>(static_cast<double>(max_records) * scale));
-  }
-  // Credit-based hand-off into the dataflow jobs: never fetch more than
-  // the most constrained pipeline inbox can take.
-  for (const auto& job : jobs_) {
-    max_records = std::min(max_records, job.pipeline->input_credit());
-  }
   const bool traced = tracer_->enabled();
   // With a frame budget configured the poll is deadline-bounded: it stops
   // visiting partitions once the budget is spent, and the leftovers are
@@ -229,12 +192,8 @@ std::size_t Platform::ProcessPending(std::size_t max_records) {
     events.push_back(std::move(*event));
   }
   for (const auto& event : events) {
-    for (auto& job : jobs_) {
-      // The credit clamp above guarantees this Offer fits the inbox.
-      (void)job.pipeline->Offer(event);
-    }
+    for (auto& job : jobs_) job.pipeline->Push(event);
   }
-  for (auto& job : jobs_) job.pipeline->DrainPending(fetched);
   // Window results feed interpretation in job order.
   for (auto& job : jobs_) {
     for (const auto& r : job.results) {
@@ -274,11 +233,7 @@ Expected<FrameResult> Platform::ComposeFrame(const std::string& user_id) {
   auto user = User(user_id);
   if (!user.ok()) return user.status();
 
-  const qos::DegradationProfile profile =
-      ladder_ != nullptr ? ladder_->profile() : qos::DegradationProfile{};
-
   FrameResult frame;
-  frame.degradation_level = profile.level;
   frame.expired = annotations_.ExpireOlderThan(clock_.Now());
   const auto& live = annotations_.Live();
   frame.live_annotations = live.size();
@@ -286,20 +241,11 @@ Expected<FrameResult> Platform::ComposeFrame(const std::string& user_id) {
   const ar::CameraView view = (*user)->View();
   // Only the in-view entries reach the layout, which skips kOutOfView.
   std::vector<ar::ClassifiedAnnotation> classified;
-  const ar::ClassifyCounts counts =
-      classifier_.ClassifyRows(annotations_.Anchors(), live, 0, live.size(), view,
-                               profile.occlusion_raycast, classified);
+  const ar::ClassifyCounts counts = classifier_.ClassifyRows(
+      annotations_.Anchors(), live, 0, live.size(), view, classified);
   frame.in_view = counts.in_view;
   frame.occluded = counts.occluded;
-  if (profile.label_budget_scale < 1.0) {
-    ar::LayoutConfig scaled = cfg_.layout;
-    scaled.max_labels = std::max<std::size_t>(
-        1, static_cast<std::size_t>(static_cast<double>(scaled.max_labels) *
-                                    profile.label_budget_scale));
-    frame.layout = ar::LabelLayout(scaled).Arrange(classified, cfg_.context.intrinsics);
-  } else {
-    frame.layout = layout_.Arrange(classified, cfg_.context.intrinsics);
-  }
+  frame.layout = layout_.Arrange(classified, cfg_.context.intrinsics);
   return frame;
 }
 
@@ -312,17 +258,11 @@ Expected<FrameResult> Platform::ComposeFrameTraced(const std::string& user_id,
     const Duration cost =
         kComposeBaseCost +
         kComposePerAnnotationCost * static_cast<std::int64_t>(frame->live_annotations);
-    ctx = tracer_->Record(
-        "frame.compose", ctx, cost,
-        {{"degradation_level", std::to_string(frame->degradation_level)},
-         {"live", std::to_string(frame->live_annotations)},
-         {"in_view", std::to_string(frame->in_view)}});
+    ctx = tracer_->Record("frame.compose", ctx, cost,
+                          {{"live", std::to_string(frame->live_annotations)},
+                           {"in_view", std::to_string(frame->in_view)}});
   }
   return frame;
-}
-
-void Platform::ObserveFrameLatency(Duration latency) {
-  if (ladder_ != nullptr) ladder_->Observe(latency);
 }
 
 }  // namespace arbd::core

@@ -23,13 +23,10 @@
 #include "ar/layout.h"
 #include "ar/occlusion.h"
 #include "cluster/cluster.h"
-#include "common/metrics.h"
 #include "common/runtime.h"
 #include "core/context.h"
 #include "core/interpretation.h"
 #include "exec/executor.h"
-#include "qos/admission.h"
-#include "qos/degradation.h"
 #include "stream/consumer.h"
 #include "stream/dataflow.h"
 #include "stream/log.h"
@@ -37,18 +34,12 @@
 
 namespace arbd::core {
 
-// Overload-control knobs for the platform (ISSUE 2 / E19). Disabled by
-// default so existing scenarios and benches see the original unbounded
-// behaviour; when enabled the event topic gets a record budget, ingestion
-// goes through priority admission, dataflow jobs get bounded inboxes, and
-// the frame path degrades under sustained SLO violation instead of
-// falling arbitrarily behind.
+// The platform has no overload control (docs/overload.md says why; E19
+// measures admission and degradation in its own harness). This field
+// stays only because perfbench/drive.cc writes it; the constructor fails
+// if it is set to true, so no caller can believe QoS is on.
 struct PlatformQosConfig {
   bool enabled = false;
-  std::size_t topic_budget_records = 8192;    // 0 leaves the topic unbudgeted
-  std::size_t pipeline_budget_records = 4096; // 0 leaves pipelines unbounded
-  qos::AdmissionConfig admission;
-  qos::LadderConfig ladder;
 };
 
 struct PlatformConfig {
@@ -105,8 +96,6 @@ struct FrameResult {
   std::size_t expired = 0;
   std::size_t in_view = 0;
   std::size_t occluded = 0;
-  // Ladder level the frame was composed at (0 = full fidelity).
-  int degradation_level = 0;
 };
 
 class Platform {
@@ -114,20 +103,15 @@ class Platform {
   Platform(PlatformConfig cfg, const geo::CityModel& city, SimClock& clock);
 
   // --- ingestion side -----------------------------------------------
-  // Publish an analytics event into the backend (key = entity id). With
-  // QoS enabled the event passes priority admission first: under queue
-  // pressure low classes shed before high ones (kResourceExhausted), and
-  // the broker's topic budget backstops everything the controller admits.
-  Status Publish(const stream::Event& event,
-                 qos::PriorityClass priority = qos::PriorityClass::kBackground);
+  // Publish an analytics event into the backend (key = entity id).
+  Status Publish(const stream::Event& event);
 
-  // Publish under a causal trace: records a "platform.publish" span (with
-  // a shed=1 tag when admission rejects), advances `ctx` to its child
-  // context, and stamps the context onto the produced record so the
-  // broker/pipeline/frame spans downstream chain off it. Identical to
-  // Publish when tracing is disabled or `ctx` is invalid.
-  Status PublishTraced(const stream::Event& event, qos::PriorityClass priority,
-                       trace::SpanContext& ctx);
+  // Publish under a causal trace: records a "platform.publish" span,
+  // advances `ctx` to its child context, and stamps the context onto the
+  // produced record so the broker/pipeline/frame spans downstream chain
+  // off it. Identical to Publish when tracing is disabled or `ctx` is
+  // invalid.
+  Status PublishTraced(const stream::Event& event, trace::SpanContext& ctx);
 
   // Register a windowed aggregation job over the event stream.
   void AddAggregation(const AggregationSpec& spec);
@@ -149,22 +133,14 @@ class Platform {
   ContextEngine& AddUser(const std::string& user_id);
   Expected<ContextEngine*> User(const std::string& user_id);
 
-  // Compose one frame for the user's current estimated pose. With QoS
-  // enabled the ladder's current profile is applied: degraded frames skip
-  // occlusion raycasts and shrink the label budget.
+  // Compose one frame for the user's current estimated pose.
   Expected<FrameResult> ComposeFrame(const std::string& user_id);
 
   // ComposeFrame under a causal trace: records a "frame.compose" span of
-  // the frame's modeled composition cost (tags: degradation level, live /
-  // in-view annotation counts) and advances `ctx` past it.
+  // the frame's modeled composition cost (tags: live / in-view annotation
+  // counts) and advances `ctx` past it.
   Expected<FrameResult> ComposeFrameTraced(const std::string& user_id,
                                            trace::SpanContext& ctx);
-
-  // Feed one measured frame-path latency into the degradation ladder
-  // (no-op with QoS disabled). Drivers call this with the wall/sim time a
-  // frame actually took; sustained violation steps fidelity down,
-  // sustained headroom steps it back up.
-  void ObserveFrameLatency(Duration latency);
 
   // --- accessors ------------------------------------------------------
   stream::Broker& broker() { return broker_; }
@@ -173,11 +149,6 @@ class Platform {
   SimClock& clock() { return clock_; }
   const geo::CityModel& city() const { return city_; }
   std::uint64_t results_interpreted() const { return results_interpreted_; }
-
-  // QoS observability (admission/ladder are null with QoS disabled).
-  MetricRegistry& metrics() { return metrics_; }
-  qos::AdmissionController* admission() { return admission_.get(); }
-  qos::DegradationLadder* ladder() { return ladder_.get(); }
 
   exec::Executor& executor() { return *exec_; }
   trace::Tracer& tracer() { return *tracer_; }
@@ -225,9 +196,6 @@ class Platform {
   bool publish_retries_ = false;  // true when the event topic has replicas
   trace::Tracer* tracer_ = nullptr;  // never null after construction
   std::uint64_t results_interpreted_ = 0;
-  MetricRegistry metrics_;
-  std::unique_ptr<qos::AdmissionController> admission_;
-  std::unique_ptr<qos::DegradationLadder> ladder_;
 };
 
 }  // namespace arbd::core

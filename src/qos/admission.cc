@@ -34,12 +34,6 @@ void AdmissionController::UpdatePressure(PriorityClass c, double fill) {
   }
 }
 
-void AdmissionController::UpdatePressureAll(double fill) {
-  for (int i = 0; i < kPriorityClasses; ++i) {
-    UpdatePressure(static_cast<PriorityClass>(i), fill);
-  }
-}
-
 bool AdmissionController::shedding(PriorityClass c) const {
   // Cascade: shedding a class implies shedding everything below it, so the
   // lowest class is always the first to go regardless of watermark tuning.

@@ -52,10 +52,8 @@ class AdmissionController {
                                MetricRegistry* metrics = nullptr);
 
   // Report the measured fill fraction (depth / budget) of the queue that
-  // backs class `c`. Deployments with one shared queue call
-  // UpdatePressureAll with the shared fill instead.
+  // backs class `c`.
   void UpdatePressure(PriorityClass c, double fill);
-  void UpdatePressureAll(double fill);
 
   // Decide one unit of work. Counts the decision and exports
   // qos.admission.{admitted,shed}.<class> counters.

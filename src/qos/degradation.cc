@@ -5,9 +5,7 @@
 namespace arbd::qos {
 namespace {
 
-// Per-rung cost of a frame relative to full fidelity. Rung 1 drops the
-// occlusion raycasts (the per-annotation geometry work), rung 2 coarsens
-// layout, rung 3 shrinks content-fetch batches.
+// Per-rung cost of a frame relative to full fidelity.
 constexpr double kCostByLevel[] = {1.0, 0.75, 0.55, 0.40};
 
 }  // namespace
@@ -20,9 +18,6 @@ DegradationLadder::DegradationLadder(LadderConfig cfg, MetricRegistry* metrics)
 DegradationProfile DegradationLadder::profile() const {
   DegradationProfile p;
   p.level = level_;
-  p.occlusion_raycast = level_ < 1;
-  p.label_budget_scale = level_ >= 2 ? 0.5 : 1.0;
-  p.fetch_batch_scale = level_ >= 3 ? 0.25 : 1.0;
   p.cost_multiplier = kCostByLevel[level_];
   return p;
 }

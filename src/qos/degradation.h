@@ -1,10 +1,8 @@
 // SLO-aware graceful degradation for the AR frame path. Under sustained
-// SLO violation the ladder steps fidelity down one rung at a time —
-// occlusion quality first (the most expensive per-annotation work), then
-// layout refinement (label budget), then content-fetch batch size — and
-// steps back up only after sustained headroom. Each rung trades visual
-// fidelity for per-frame cost, which is the paper's §4.1 position: late
-// results are worse than degraded ones.
+// SLO violation the ladder steps fidelity down one rung at a time and
+// steps back up only after sustained headroom. Each rung lowers the
+// modeled per-frame cost (DegradationProfile::cost_multiplier), which is
+// the paper's §4.1 position: late results are worse than degraded ones.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +17,6 @@ namespace arbd::qos {
 // relative to full fidelity (used by the overload simulator and benches).
 struct DegradationProfile {
   int level = 0;
-  bool occlusion_raycast = true;   // level >= 1: skip raycasts, no x-ray hints
-  double label_budget_scale = 1.0; // level >= 2: coarser layout, fewer labels
-  double fetch_batch_scale = 1.0;  // level >= 3: smaller content-fetch batches
   double cost_multiplier = 1.0;
 };
 

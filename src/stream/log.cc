@@ -663,18 +663,4 @@ std::vector<std::string> Broker::TopicNames() const {
   return names;
 }
 
-Expected<std::pair<PartitionId, Offset>> Producer::Send(Record record) {
-  auto r = broker_.Produce(topic_, std::move(record));
-  if (r.ok()) ++sent_;
-  return r;
-}
-
-Status Producer::SendBatch(std::vector<Record> records) {
-  for (auto& r : records) {
-    auto s = Send(std::move(r));
-    if (!s.ok()) return s.status();
-  }
-  return Status::Ok();
-}
-
 }  // namespace arbd::stream

@@ -49,26 +49,14 @@ class ClusterGate {
  public:
   virtual ~ClusterGate() = default;
   // Ok to admit; kUnavailable when the partition's leader broker is down
-  // or on the fenced minority side of a network split.
-  virtual Status AdmitProduce(const std::string& topic, PartitionId partition) = 0;
-  virtual Status AdmitFetch(const std::string& topic, PartitionId partition) = 0;
-
-  // Identity-bearing admission (ISSUE 10 gray failures). `request_id` is a
+  // or on the fenced minority side of a network split. `request_id` is a
   // stable hash of the request's content, which lets a lossy-link gate
   // drop individual requests by pure seeded hash — no RNG stream, so the
-  // decision is independent of worker interleaving. The defaults forward
-  // to the identity-free methods: gates that predate gray failures (and
-  // clusters with no lossy fault armed) behave exactly as before.
+  // decision is independent of worker interleaving.
   virtual Status AdmitProduceRequest(const std::string& topic, PartitionId partition,
-                                     std::uint64_t request_id) {
-    (void)request_id;
-    return AdmitProduce(topic, partition);
-  }
+                                     std::uint64_t request_id) = 0;
   virtual Status AdmitFetchRequest(const std::string& topic, PartitionId partition,
-                                   std::uint64_t request_id) {
-    (void)request_id;
-    return AdmitFetch(topic, partition);
-  }
+                                   std::uint64_t request_id) = 0;
 
   // Modeled cost of one admitted operation against this partition's
   // leader broker — what deadline-aware callers charge their budget per
@@ -432,30 +420,6 @@ class Broker {
   MetricRegistry* metrics_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   ClusterGate* cluster_gate_ = nullptr;
-};
-
-// Thin producer handle: validates topic existence once and adds batching
-// counters used by the throughput bench (E12).
-class Producer {
- public:
-  Producer(Broker& broker, std::string topic)
-      : broker_(broker), topic_(std::move(topic)) {}
-
-  Expected<std::pair<PartitionId, Offset>> Send(Record record);
-  // Sends until done or the first failure. A kResourceExhausted status is
-  // the broker pushing back (topic over budget): already-sent records
-  // stand, the remainder should be retried once credit returns.
-  Status SendBatch(std::vector<Record> records);
-
-  // Remaining topic credit (see Broker::Credit).
-  std::size_t credit() const { return broker_.Credit(topic_); }
-
-  std::uint64_t sent() const { return sent_; }
-
- private:
-  Broker& broker_;
-  std::string topic_;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace arbd::stream

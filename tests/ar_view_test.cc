@@ -212,8 +212,7 @@ void ExpectSameClassification(const ClassifiedAnnotation& got, const ClassifiedA
 // Classifies every live annotation of `store` from `pose` three ways — the
 // kernel over the whole table, the kernel over four row ranges
 // concatenated, and the ClassifyAll adapter — and checks each against the
-// reference; the kernel without raycasts must keep the same rows, all
-// visible. Returns how many entries the reference put in view.
+// reference. Returns how many entries the reference put in view.
 std::size_t CheckPose(const OcclusionClassifier& clf, const geo::CityModel* city,
                       const content::AnnotationStore& store, const PoseEstimate& pose,
                       bool with_adapter) {
@@ -230,7 +229,7 @@ std::size_t CheckPose(const OcclusionClassifier& clf, const geo::CityModel* city
   }
   std::vector<ClassifiedAnnotation> got;
   const ClassifyCounts counts =
-      clf.ClassifyRows(store.Anchors(), live, 0, live.size(), view, true, got);
+      clf.ClassifyRows(store.Anchors(), live, 0, live.size(), view, got);
   EXPECT_EQ(counts.in_view, want.size());
   EXPECT_EQ(counts.occluded, occluded);
   EXPECT_EQ(got.size(), want.size());
@@ -241,25 +240,12 @@ std::size_t CheckPose(const OcclusionClassifier& clf, const geo::CityModel* city
   std::vector<ClassifiedAnnotation> chunked;
   const std::size_t per = (live.size() + 3) / 4;
   for (std::size_t lo = 0; lo < live.size(); lo += per) {
-    clf.ClassifyRows(store.Anchors(), live, lo, std::min(live.size(), lo + per), view, true,
+    clf.ClassifyRows(store.Anchors(), live, lo, std::min(live.size(), lo + per), view,
                      chunked);
   }
   EXPECT_EQ(chunked.size(), got.size());
   for (std::size_t i = 0; i < std::min(chunked.size(), got.size()); ++i) {
     ExpectSameClassification(chunked[i], got[i]);
-  }
-
-  // Without raycasts the same rows come out, none of them occluded.
-  std::vector<ClassifiedAnnotation> flat;
-  const ClassifyCounts flat_counts =
-      clf.ClassifyRows(store.Anchors(), live, 0, live.size(), view, false, flat);
-  EXPECT_EQ(flat_counts.in_view, got.size());
-  EXPECT_EQ(flat_counts.occluded, 0u);
-  EXPECT_EQ(flat.size(), got.size());
-  for (std::size_t i = 0; i < std::min(flat.size(), got.size()); ++i) {
-    ClassifiedAnnotation visible = got[i];
-    visible.visibility = Visibility::kVisible;
-    ExpectSameClassification(flat[i], visible);
   }
 
   if (with_adapter) {

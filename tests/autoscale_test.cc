@@ -493,10 +493,10 @@ TEST(Autoscale, ArmedButIdleMatchesFlatDigest) {
 class DenyFetchGate : public stream::ClusterGate {
  public:
   explicit DenyFetchGate(PartitionId deny) : deny_(deny) {}
-  Status AdmitProduce(const std::string&, PartitionId) override {
+  Status AdmitProduceRequest(const std::string&, PartitionId, std::uint64_t) override {
     return Status::Ok();
   }
-  Status AdmitFetch(const std::string&, PartitionId p) override {
+  Status AdmitFetchRequest(const std::string&, PartitionId p, std::uint64_t) override {
     if (p == deny_) return Status::Unavailable("leader broker down");
     return Status::Ok();
   }

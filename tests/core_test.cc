@@ -258,37 +258,34 @@ TEST(PlatformFrameBudget, ProcessPendingPollStopsWhenBudgetIsSpent) {
   EXPECT_EQ(platform.ProcessPending(), 0u);
 }
 
-// The ladder's first rung skips the occlusion raycasts and nothing else:
-// annotations still project through the city's frame, so the same pose
-// sees the same annotations, none of them occluded.
-TEST(Platform, DegradedRungKeepsTheCityProjection) {
+// The platform applies no record budget: 50,000 background publishes,
+// drained every 500, all land and all reach the aggregation job. A budget
+// on retained records (the topic keeps every record the group commits)
+// would shed every publish past about 0.6 x 8192.
+TEST(Platform, ProcessesEveryPublishPastTheOldBudget) {
   SimClock clock;
   const geo::CityModel city = geo::CityModel::Generate(geo::CityConfig{}, 51);
-  PlatformConfig cfg;
-  cfg.qos.enabled = true;
-  Platform platform(cfg, city, clock);
-  for (const geo::Poi* poi : city.pois().All()) {
-    ar::content::Annotation a;
-    a.anchor.geo_pos = poi->pos;
-    a.ttl = Duration::Seconds(3600);
-    platform.AddAnnotation(a);
+  Platform platform(PlatformConfig{}, city, clock);
+  AggregationSpec spec;
+  spec.attribute = "visits";
+  platform.AddAggregation(spec);
+  constexpr int kTicks = 100;
+  constexpr int kPerTick = 500;
+  std::size_t published = 0;
+  std::size_t processed = 0;
+  for (int tick = 0; tick < kTicks; ++tick) {
+    for (int i = 0; i < kPerTick; ++i) {
+      const std::int64_t ms = static_cast<std::int64_t>(tick) * kPerTick + i;
+      const Status s =
+          platform.Publish(Ev("entity-" + std::to_string(i % 64), "visits", 1.0, ms));
+      ASSERT_TRUE(s.ok()) << "publish " << published << ": " << s.ToString();
+      ++published;
+    }
+    processed += platform.ProcessPending();
   }
-  platform.AddUser("u");  // at the city's origin, looking north
-
-  const auto full = platform.ComposeFrame("u");
-  ASSERT_TRUE(full.ok());
-  ASSERT_EQ(full->degradation_level, 0);
-  ASSERT_GT(full->in_view, 0u);
-  ASSERT_GT(full->occluded, 0u) << "the pose must have raycasts for the rung to skip";
-
-  for (int i = 0; i < cfg.qos.ladder.violations_to_step_down; ++i) {
-    platform.ObserveFrameLatency(cfg.qos.ladder.slo * 2.0);
-  }
-  const auto degraded = platform.ComposeFrame("u");
-  ASSERT_TRUE(degraded.ok());
-  ASSERT_GE(degraded->degradation_level, 1);
-  EXPECT_EQ(degraded->in_view, full->in_view);
-  EXPECT_EQ(degraded->occluded, 0u);
+  EXPECT_EQ(published, static_cast<std::size_t>(kTicks * kPerTick));
+  EXPECT_EQ(processed, published);
+  EXPECT_EQ(platform.job_pipeline(0).events_in(), published);
 }
 
 // What one seeded Publish/ProcessPending/ComposeFrame workload leaves

@@ -12,6 +12,13 @@ namespace {
 
 // --- AdmissionController ---------------------------------------------------
 
+// One shared queue backs every class: report its fill to each of them.
+void UpdateEveryClass(AdmissionController& ac, double fill) {
+  for (int i = 0; i < kPriorityClasses; ++i) {
+    ac.UpdatePressure(static_cast<PriorityClass>(i), fill);
+  }
+}
+
 TEST(Admission, AdmitsEverythingAtZeroPressure) {
   AdmissionController ac;
   for (int i = 0; i < kPriorityClasses; ++i) {
@@ -23,17 +30,17 @@ TEST(Admission, AdmitsEverythingAtZeroPressure) {
 TEST(Admission, ShedsLowestClassFirstUnderSharedPressure) {
   AdmissionController ac;
 
-  ac.UpdatePressureAll(0.7);  // above background's 0.60 only
+  UpdateEveryClass(ac, 0.7);  // above background's 0.60 only
   EXPECT_TRUE(ac.Admit(PriorityClass::kFrameCritical));
   EXPECT_TRUE(ac.Admit(PriorityClass::kInteractive));
   EXPECT_FALSE(ac.Admit(PriorityClass::kBackground));
 
-  ac.UpdatePressureAll(0.85);  // above interactive's 0.80
+  UpdateEveryClass(ac, 0.85);  // above interactive's 0.80
   EXPECT_TRUE(ac.Admit(PriorityClass::kFrameCritical));
   EXPECT_FALSE(ac.Admit(PriorityClass::kInteractive));
   EXPECT_FALSE(ac.Admit(PriorityClass::kBackground));
 
-  ac.UpdatePressureAll(0.96);  // above frame-critical's 0.95
+  UpdateEveryClass(ac, 0.96);  // above frame-critical's 0.95
   EXPECT_FALSE(ac.Admit(PriorityClass::kFrameCritical));
   EXPECT_FALSE(ac.Admit(PriorityClass::kInteractive));
   EXPECT_FALSE(ac.Admit(PriorityClass::kBackground));
@@ -71,7 +78,7 @@ TEST(Admission, CascadeShedsLowerClassesWithHigherOnes) {
 TEST(Admission, ExportsDecisionCounters) {
   MetricRegistry reg;
   AdmissionController ac({}, &reg);
-  ac.UpdatePressureAll(0.7);
+  UpdateEveryClass(ac, 0.7);
   ac.Admit(PriorityClass::kFrameCritical);
   ac.Admit(PriorityClass::kBackground);
   ac.Admit(PriorityClass::kBackground);
@@ -228,9 +235,6 @@ TEST(Ladder, StartsAtFullFidelity) {
   DegradationLadder ladder;
   const auto p = ladder.profile();
   EXPECT_EQ(p.level, 0);
-  EXPECT_TRUE(p.occlusion_raycast);
-  EXPECT_DOUBLE_EQ(p.label_budget_scale, 1.0);
-  EXPECT_DOUBLE_EQ(p.fetch_batch_scale, 1.0);
   EXPECT_DOUBLE_EQ(p.cost_multiplier, 1.0);
 }
 
@@ -245,15 +249,14 @@ TEST(Ladder, StepsDownRungByRungUnderSustainedViolation) {
 
   violate();
   EXPECT_EQ(ladder.level(), 1);
-  EXPECT_FALSE(ladder.profile().occlusion_raycast);
+  EXPECT_DOUBLE_EQ(ladder.profile().cost_multiplier, 0.75);
 
   violate();
   EXPECT_EQ(ladder.level(), 2);
-  EXPECT_DOUBLE_EQ(ladder.profile().label_budget_scale, 0.5);
+  EXPECT_DOUBLE_EQ(ladder.profile().cost_multiplier, 0.55);
 
   violate();
   EXPECT_EQ(ladder.level(), 3);
-  EXPECT_DOUBLE_EQ(ladder.profile().fetch_batch_scale, 0.25);
   EXPECT_DOUBLE_EQ(ladder.profile().cost_multiplier, 0.40);
 
   violate();  // clamped at max_level

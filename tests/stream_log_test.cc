@@ -367,16 +367,6 @@ TEST_F(BrokerTest, DeleteTopic) {
   EXPECT_EQ(broker_.DeleteTopic("gone").code(), StatusCode::kNotFound);
 }
 
-TEST_F(BrokerTest, ProducerCountsAndBatch) {
-  ASSERT_TRUE(broker_.CreateTopic("events", {.partitions = 2}).ok());
-  Producer prod(broker_, "events");
-  std::vector<Record> batch;
-  for (int i = 0; i < 10; ++i) batch.push_back(TextRecord("k" + std::to_string(i), "v"));
-  EXPECT_TRUE(prod.SendBatch(std::move(batch)).ok());
-  EXPECT_EQ(prod.sent(), 10u);
-  EXPECT_EQ(broker_.total_produced(), 10u);
-}
-
 TEST_F(BrokerTest, RecordBudgetRejectsWhenFull) {
   TopicConfig cfg;
   cfg.partitions = 1;
@@ -474,24 +464,6 @@ TEST_F(BrokerTest, BackpressureCounterExported) {
   ASSERT_TRUE(broker_.Produce("t", TextRecord("k", "v")).ok());
   ASSERT_FALSE(broker_.Produce("t", TextRecord("k", "v")).ok());
   EXPECT_DOUBLE_EQ(reg.Get("qos.backpressure.t"), 1.0);
-}
-
-TEST_F(BrokerTest, ProducerSeesCreditAndPartialBatch) {
-  TopicConfig cfg;
-  cfg.partitions = 1;
-  cfg.max_records = 4;
-  ASSERT_TRUE(broker_.CreateTopic("t", cfg).ok());
-  Producer prod(broker_, "t");
-  EXPECT_EQ(prod.credit(), 4u);
-
-  std::vector<Record> batch;
-  for (int i = 0; i < 6; ++i) batch.push_back(TextRecord("k", "v"));
-  const Status st = prod.SendBatch(std::move(batch));
-  // The batch ran out of credit mid-way: what fit stands, the rest is the
-  // caller's to retry once credit returns.
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(prod.sent(), 4u);
-  EXPECT_EQ(prod.credit(), 0u);
 }
 
 TEST_F(BrokerTest, TopicNamesSorted) {

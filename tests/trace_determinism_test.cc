@@ -59,7 +59,7 @@ std::uint64_t TracedWorkloadDigest(std::uint64_t seed, std::size_t workers) {
     trace::SpanContext ctx =
         tracer.RootContext(tracer.StartTrace(static_cast<std::uint64_t>(i)),
                            e.event_time);
-    (void)platform.PublishTraced(e, qos::PriorityClass::kBackground, ctx);
+    (void)platform.PublishTraced(e, ctx);
     if (i % 50 == 49) {
       clock.Advance(Duration::Millis(200));
       platform.ProcessPending();
